@@ -16,14 +16,16 @@
 // largest shape, self-relative so the gate is machine-independent.
 //
 // ISSUE 10 adds the compiled-tier columns: the same query executed
-// through the bytecode match program (use_compiler on, the default) vs
-// the join interpreter (use_compiler off), on a guard-heavy all-reject
+// through the bytecode match program (Query::evaluate, the runtime's only
+// evaluator) vs the tree-walking join interpreter kept as the test oracle
+// (tests/oracle, sdl::oracle::evaluate), on a guard-heavy all-reject
 // sweep — the shape where per-candidate expression-tree walking
 // dominates. run_benches.sh --check gates BM_GuardHeavyInterpreted /
 // BM_GuardHeavyCompiled at >= SDL_E13_GATE (2x) on the largest shape,
 // again self-relative.
 #include <benchmark/benchmark.h>
 
+#include "oracle/join_interpreter.hpp"
 #include "query/incremental.hpp"
 #include "workloads.hpp"
 
@@ -165,12 +167,11 @@ struct GuardHeavySetup {
   Query query;
   Env env;
 
-  GuardHeavySetup(std::int64_t size, bool compiled) {
+  explicit GuardHeavySetup(std::int64_t size) {
     for (std::int64_t i = 0; i < size; ++i) {
       space.insert(i % 2 == 0 ? tup("g", i) : tup("g", Value::atom("opaque")),
                    kEnvironmentProcess);
     }
-    query.use_compiler = compiled;
     query.local_vars = {"v"};
     query.patterns = {pat({A("g"), V("v")})};
     query.guard =
@@ -185,16 +186,17 @@ struct GuardHeavySetup {
 };
 
 void BM_GuardHeavyInterpreted(benchmark::State& state) {
-  GuardHeavySetup s(state.range(0), /*compiled=*/false);
+  GuardHeavySetup s(state.range(0));
   const DataspaceSource src(s.space);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(s.query.evaluate(src, s.env, nullptr).success);
+    benchmark::DoNotOptimize(
+        oracle::evaluate(s.query, src, s.env, nullptr).success);
   }
   state.SetItemsProcessed(state.iterations());
 }
 
 void BM_GuardHeavyCompiled(benchmark::State& state) {
-  GuardHeavySetup s(state.range(0), /*compiled=*/true);
+  GuardHeavySetup s(state.range(0));
   const DataspaceSource src(s.space);
   for (auto _ : state) {
     benchmark::DoNotOptimize(s.query.evaluate(src, s.env, nullptr).success);

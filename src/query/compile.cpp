@@ -10,61 +10,34 @@ PlanCacheStats& plan_cache_stats() {
   return stats;
 }
 
-namespace {
-std::atomic<bool> g_compiler_enabled{true};
-}  // namespace
-
-bool query_compiler_enabled() {
-  return g_compiler_enabled.load(std::memory_order_relaxed);
-}
-void set_query_compiler_enabled(bool on) {
-  g_compiler_enabled.store(on, std::memory_order_relaxed);
-}
-
 // ---- Shape analysis ----
 
 namespace {
 
-/// A pattern is compilable when every term's match behaviour is a pure
-/// function of slot BOUNDNESS: wildcards, variables, and literal
-/// constants. A computed Expr term (x+1 in a field) is value-dependent —
-/// its try_eval can fail on bound-but-ill-typed values, which would make
-/// the interpreter's planner rank it differently than a static plan.
-bool terms_compilable(const std::vector<TuplePattern>& patterns) {
-  for (const TuplePattern& p : patterns) {
-    for (const Term& t : p.terms()) {
-      if (t.kind == Term::Kind::Expr && t.expr->op() != Expr::Op::Const) {
-        return false;
-      }
-    }
+void add_slot(std::int32_t slot, std::vector<std::int32_t>& out) {
+  if (slot >= 0 && std::find(out.begin(), out.end(), slot) == out.end()) {
+    out.push_back(slot);
   }
-  return true;
 }
 
-void collect_var_slots(const std::vector<TuplePattern>& patterns,
+void collect_expr_slots(const Expr& e, std::vector<std::int32_t>& out) {  // NOLINT(misc-no-recursion)
+  if (e.op() == Expr::Op::Var) add_slot(e.slot(), out);
+  for (const ExprPtr& c : e.children()) collect_expr_slots(*c, out);
+}
+
+/// The slots whose boundness at entry shapes a plan: pattern variables
+/// and every variable a computed term reads.
+void collect_sig_slots(const std::vector<TuplePattern>& patterns,
                        std::vector<std::int32_t>& out) {
   for (const TuplePattern& p : patterns) {
     for (const Term& t : p.terms()) {
-      if (t.kind != Term::Kind::Var || t.slot < 0) continue;
-      if (std::find(out.begin(), out.end(), t.slot) == out.end()) {
-        out.push_back(t.slot);
-      }
+      if (t.kind == Term::Kind::Var) add_slot(t.slot, out);
+      if (t.kind == Term::Kind::Expr) collect_expr_slots(*t.expr, out);
     }
   }
 }
 
 }  // namespace
-
-bool query_shape_compilable(const Query& q) {
-  if (!terms_compilable(q.patterns)) return false;
-  for (const NegatedGroup& g : q.negations) {
-    if (!terms_compilable(g.patterns)) return false;
-  }
-  std::vector<std::int32_t> slots;
-  collect_var_slots(q.patterns, slots);
-  for (const NegatedGroup& g : q.negations) collect_var_slots(g.patterns, slots);
-  return slots.size() <= 64;  // signature is one std::uint64_t
-}
 
 // ---- Expression compilation ----
 
@@ -206,23 +179,40 @@ namespace {
 
 using BoundSet = std::unordered_set<std::int32_t>;
 
+/// Static readiness of an expression: every variable it reads (on any
+/// branch) is bound.
+bool ready_expr(const Expr& e, const BoundSet& bound) {  // NOLINT(misc-no-recursion)
+  if (e.op() == Expr::Op::Var) return bound.count(e.slot()) != 0;
+  for (const ExprPtr& c : e.children()) {
+    if (!ready_expr(*c, bound)) return false;
+  }
+  return true;
+}
+
+/// A pattern is ready when every computed term is.
+bool ready_sim(const TuplePattern& p, const BoundSet& bound) {
+  for (const Term& t : p.terms()) {
+    if (t.kind == Term::Kind::Expr && !ready_expr(*t.expr, bound)) return false;
+  }
+  return true;
+}
+
 bool exact_sim(const TuplePattern& p, const BoundSet& bound) {
   if (p.terms().empty()) return true;  // key_spec: Exact{0,0}
   const Term& head = p.terms().front();
   switch (head.kind) {
     case Term::Kind::Wildcard: return false;
     case Term::Kind::Var: return bound.count(head.slot) != 0;
-    case Term::Kind::Expr: return true;  // literal (shape-checked)
+    case Term::Kind::Expr: return ready_expr(*head.expr, bound);
   }
   return false;
 }
 
-/// Replays JoinEnumerator::pick_next under static boundness. In the
-/// compilable fragment every pattern is always ready (literal Expr terms
-/// evaluate unconditionally), so the interpreter's rank-2 branch cannot
-/// fire and rank is -1 (seed) / 0 (exact) / 1 (arity) — determined
-/// entirely by `bound`. The early-break conditions are copied verbatim:
-/// they affect which of several rank-0 patterns wins.
+/// Replays the planner's pick loop under static boundness: rank 2 for an
+/// unready pattern, else -1 (seed) / 0 (exact) / 1 (arity). The
+/// early-break conditions decide which of several rank-0 patterns wins
+/// and must stay exactly as they are in the oracle join interpreter
+/// (tests/oracle/join_interpreter.cpp).
 std::size_t pick_sim(const std::vector<TuplePattern>& patterns,
                      const std::vector<bool>& done, const BoundSet& bound,
                      bool planner, std::size_t seed_idx) {
@@ -237,7 +227,9 @@ std::size_t pick_sim(const std::vector<TuplePattern>& patterns,
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     if (done[i]) continue;
     int rank;
-    if (i == seed_idx) {
+    if (!ready_sim(patterns[i], bound)) {
+      rank = 2;
+    } else if (i == seed_idx) {
       rank = -1;
     } else {
       rank = exact_sim(patterns[i], bound) ? 0 : 1;
@@ -249,6 +241,10 @@ std::size_t pick_sim(const std::vector<TuplePattern>& patterns,
     }
   }
   return best;
+}
+
+bool is_literal(const Term& t) {
+  return t.kind == Term::Kind::Expr && t.expr->op() == Expr::Op::Const;
 }
 
 /// Fixes the join order and flattens each pattern, threading the simulated
@@ -274,9 +270,16 @@ std::vector<StepPlan> compile_join(const std::vector<TuplePattern>& patterns,
     } else {
       const Term& head = p.terms().front();
       switch (head.kind) {
-        case Term::Kind::Expr:  // literal
-          sp.scan = StepPlan::Scan::ExactConst;
-          sp.key = IndexKey::of_head(p.arity(), head.expr->constant());
+        case Term::Kind::Expr:
+          if (is_literal(head)) {
+            sp.scan = StepPlan::Scan::ExactConst;
+            sp.key = IndexKey::of_head(p.arity(), head.expr->constant());
+          } else if (ready_expr(*head.expr, bound)) {
+            sp.scan = StepPlan::Scan::ExactExpr;
+            compile_expr(head.expr, sp.head_expr);
+          } else {
+            sp.scan = StepPlan::Scan::Arity;
+          }
           break;
         case Term::Kind::Var:
           if (bound.count(head.slot) != 0) {
@@ -292,16 +295,18 @@ std::vector<StepPlan> compile_join(const std::vector<TuplePattern>& patterns,
       }
     }
 
-    // Secondary-index probe: only on exact scans (the interpreter consults
-    // second_probe only under KeySpec::Kind::Exact), and classified with
-    // the bindings as they stand BEFORE this pattern matches.
-    if ((sp.scan == StepPlan::Scan::ExactConst ||
-         sp.scan == StepPlan::Scan::ExactSlot) &&
+    // Secondary-index probe: only on exact scans (the planner probes the
+    // second field only under an exact key), and classified with the
+    // bindings as they stand BEFORE this pattern matches.
+    if (sp.scan != StepPlan::Scan::Seed && sp.scan != StepPlan::Scan::Arity &&
         p.arity() >= 2) {
       const Term& t2 = p.terms()[1];
-      if (t2.kind == Term::Kind::Expr) {  // literal
+      if (is_literal(t2)) {
         sp.second = StepPlan::Second::Const;
         sp.second_const = t2.expr->constant();
+      } else if (t2.kind == Term::Kind::Expr && ready_expr(*t2.expr, bound)) {
+        sp.second = StepPlan::Second::Expr;
+        compile_expr(t2.expr, sp.second_expr);
       } else if (t2.kind == Term::Kind::Var && bound.count(t2.slot) != 0) {
         sp.second = StepPlan::Second::Slot;
         sp.second_slot = t2.slot;
@@ -317,9 +322,14 @@ std::vector<StepPlan> compile_join(const std::vector<TuplePattern>& patterns,
       switch (t.kind) {
         case Term::Kind::Wildcard:
           continue;  // no op emitted
-        case Term::Kind::Expr:  // literal
-          op.kind = TermOp::Kind::CheckConst;
-          op.want = t.expr->constant();
+        case Term::Kind::Expr:
+          if (is_literal(t)) {
+            op.kind = TermOp::Kind::CheckConst;
+            op.want = t.expr->constant();
+          } else {
+            op.kind = TermOp::Kind::CheckExpr;
+            compile_expr(t.expr, op.expr);
+          }
           break;
         case Term::Kind::Var:
           op.slot = t.slot;
@@ -346,8 +356,18 @@ std::vector<StepPlan> compile_join(const std::vector<TuplePattern>& patterns,
   return steps;
 }
 
+/// Register demand of every ExprProgram a join evaluates.
+int join_regs(const std::vector<StepPlan>& steps) {
+  int regs = 0;
+  for (const StepPlan& sp : steps) {
+    regs = std::max({regs, sp.head_expr.num_regs, sp.second_expr.num_regs});
+    for (const TermOp& op : sp.ops) regs = std::max(regs, op.expr.num_regs);
+  }
+  return regs;
+}
+
 std::shared_ptr<const MatchProgram> compile_program(
-    const Query& q, std::uint64_t sig,
+    const Query& q, const std::vector<std::uint64_t>& sig,
     const std::vector<std::int32_t>& sig_slots, std::uint64_t stats_epoch,
     std::size_t seed_idx) {
   auto prog = std::make_shared<MatchProgram>();
@@ -364,11 +384,11 @@ std::shared_ptr<const MatchProgram> compile_program(
 
   BoundSet bound;
   for (std::size_t i = 0; i < sig_slots.size(); ++i) {
-    if ((sig >> i) & 1u) bound.insert(sig_slots[i]);
+    if ((sig[i / 64] >> (i % 64)) & 1u) bound.insert(sig_slots[i]);
   }
   prog->steps = compile_join(q.patterns, q.use_planner, seed_idx, bound);
   compile_expr(q.guard, prog->guard);
-  prog->num_regs = prog->guard.num_regs;
+  prog->num_regs = std::max(prog->guard.num_regs, join_regs(prog->steps));
 
   // Negations run per complete outer assignment: every outer pattern
   // variable is bound by then, which `bound` now reflects.
@@ -377,7 +397,8 @@ std::shared_ptr<const MatchProgram> compile_program(
     BoundSet nb = bound;
     np.steps = compile_join(g.patterns, q.use_planner, PlanCache::kNoSeed, nb);
     compile_expr(g.guard, np.guard);
-    prog->num_regs = std::max(prog->num_regs, np.guard.num_regs);
+    prog->num_regs = std::max({prog->num_regs, np.guard.num_regs,
+                               join_regs(np.steps)});
     prog->negations.push_back(std::move(np));
   }
   return prog;
@@ -388,15 +409,9 @@ std::shared_ptr<const MatchProgram> compile_program(
 // ---- Plan cache ----
 
 PlanCache::PlanCache(const Query& q) {
-  compilable_ = query_shape_compilable(q);
-  if (!compilable_) return;
-  collect_var_slots(q.patterns, sig_slots_);
+  collect_sig_slots(q.patterns, sig_slots_);
   for (const NegatedGroup& g : q.negations) {
-    collect_var_slots(g.patterns, sig_slots_);
-  }
-  if (sig_slots_.size() > 64) {
-    compilable_ = false;
-    sig_slots_.clear();
+    collect_sig_slots(g.patterns, sig_slots_);
   }
 }
 
@@ -404,14 +419,14 @@ std::shared_ptr<const MatchProgram> PlanCache::acquire(
     const Query& q, const Env& env, std::uint64_t stats_epoch,
     std::size_t seed_idx) {
   PlanCacheStats& stats = plan_cache_stats();
-  if (!compilable_) {
-    stats.bailouts.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  std::uint64_t sig = 0;
+  // Reused per thread: building the signature allocates nothing once warm.
+  thread_local std::vector<std::uint64_t> sig;
+  sig.assign((sig_slots_.size() + 63) / 64, 0);
   for (std::size_t i = 0; i < sig_slots_.size(); ++i) {
     const auto slot = static_cast<std::size_t>(sig_slots_[i]);
-    if (slot < env.size() && !env[slot].is_nil()) sig |= std::uint64_t{1} << i;
+    if (slot < env.size() && !env[slot].is_nil()) {
+      sig[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
   }
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -442,7 +457,8 @@ std::shared_ptr<const MatchProgram> PlanCache::acquire(
 
 namespace {
 
-/// Per-evaluation machine state. Mirrors JoinEnumerator's bookkeeping:
+/// Per-evaluation machine state. Mirrors the oracle join interpreter's
+/// bookkeeping (tests/oracle/join_interpreter.cpp):
 /// `undo` is the shared binding log (negation searches splice their own
 /// marks into it), `regs` is the register file every ExprProgram reuses.
 struct Execution {
@@ -509,6 +525,14 @@ struct Execution {
             return false;
           }
           break;
+        case TermOp::Kind::CheckExpr: {
+          const vm::EvalResult want = vm::run(op.expr, env, fns, regs);
+          if (want.trap != vm::Trap::None || want.value != field) {
+            undo_to(mark);
+            return false;
+          }
+          break;
+        }
       }
     }
     return true;
@@ -536,38 +560,47 @@ struct Execution {
       return keep_going;
     };
 
+    IndexKey key = sp.key;
     switch (sp.scan) {
       case StepPlan::Scan::Seed:
         for (const Record* r : *seeds) {
           if (!try_record(*r)) break;
         }
         return keep_going;
-      case StepPlan::Scan::ExactConst:
-      case StepPlan::Scan::ExactSlot: {
-        const IndexKey key =
-            sp.scan == StepPlan::Scan::ExactConst
-                ? sp.key
-                : IndexKey::of_head(
-                      sp.arity,
-                      env[static_cast<std::size_t>(sp.head_slot)]);
-        switch (sp.second) {
-          case StepPlan::Second::None:
-            source.scan_key(key, try_record);
-            break;
-          case StepPlan::Second::Const:
-            source.scan_key_second(key, sp.second_const, try_record);
-            break;
-          case StepPlan::Second::Slot:
-            source.scan_key_second(
-                key, env[static_cast<std::size_t>(sp.second_slot)],
-                try_record);
-            break;
-        }
-        return keep_going;
-      }
       case StepPlan::Scan::Arity:
         source.scan_arity(sp.arity, try_record);
         return keep_going;
+      case StepPlan::Scan::ExactConst:
+        break;
+      case StepPlan::Scan::ExactSlot:
+        key = IndexKey::of_head(sp.arity,
+                                env[static_cast<std::size_t>(sp.head_slot)]);
+        break;
+      case StepPlan::Scan::ExactExpr: {
+        // A trapping head can match no candidate on this branch.
+        const vm::EvalResult head = vm::run(sp.head_expr, env, fns, regs);
+        if (head.trap != vm::Trap::None) return true;
+        key = IndexKey::of_head(sp.arity, head.value);
+        break;
+      }
+    }
+    switch (sp.second) {
+      case StepPlan::Second::None:
+        source.scan_key(key, try_record);
+        break;
+      case StepPlan::Second::Const:
+        source.scan_key_second(key, sp.second_const, try_record);
+        break;
+      case StepPlan::Second::Slot:
+        source.scan_key_second(
+            key, env[static_cast<std::size_t>(sp.second_slot)], try_record);
+        break;
+      case StepPlan::Second::Expr: {
+        const vm::EvalResult second = vm::run(sp.second_expr, env, fns, regs);
+        if (second.trap != vm::Trap::None) return true;
+        source.scan_key_second(key, second.value, try_record);
+        break;
+      }
     }
     return keep_going;
   }
@@ -619,8 +652,8 @@ QueryOutcome vm_execute(const MatchProgram& prog, const TupleSource& source,
       out.matches.push_back(build_match(prog, chosen, env));
       return false;  // first satisfying assignment wins
     });
-    // A stopped enumeration leaves the winning bindings in env, exactly
-    // like the interpreter; a completed one has fully backtracked.
+    // A stopped enumeration leaves the winning bindings in env; a
+    // completed one has fully backtracked.
     out.success = stopped;
     return out;
   }

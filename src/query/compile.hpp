@@ -1,26 +1,31 @@
-// Query compilation (ROADMAP item 5): lowering a resolved Query into a
-// flat match program executed by the register VM (src/query/vm.hpp),
-// behind a per-query plan cache.
+// Query compilation: lowering a resolved Query into a flat match program
+// executed by the register VM (src/query/vm.hpp), behind a per-query plan
+// cache. This is the only query evaluator; the tree-walking join
+// interpreter lives in tests/oracle as the differential reference.
 //
-// The interpreter (query.cpp) re-derives everything per evaluation: the
-// greedy planner calls key_spec/try_eval per join depth, pattern matching
-// re-dispatches on Term kinds per candidate, and guards walk shared_ptr
-// expression trees with exceptions as the reject path. For the shapes that
-// dominate SDL workloads — patterns whose terms are literal constants,
-// variables, and wildcards — all of those decisions depend only on WHICH
-// slots are bound at evaluation entry, never on the bound values. So we
-// compile once per (binding signature, seed index, index epoch): simulate
-// the planner's pick loop to fix the join order, pre-classify every scan
-// (exact bucket / secondary probe / arity sweep), flatten each pattern
-// into Bind/Check/CheckConst term ops, and compile guards to bytecode.
-// Evaluation is then one linear pass per candidate with no exceptions and
-// no re-planning.
+// Every planning decision is a function of WHICH slots are bound when
+// evaluation starts (the binding signature), never of the bound values.
+// So we compile once per (binding signature, seed index, index epoch):
+// replay the planner's pick loop to fix the join order, pre-classify
+// every scan (exact bucket / secondary probe / arity sweep), flatten each
+// pattern into term ops, and compile guards to bytecode. Evaluation is
+// then one linear pass per candidate with no exceptions and no
+// re-planning.
 //
-// Queries with computed pattern fields (an Expr term that is not a
-// literal) fall back to the interpreter: their readiness and key specs are
-// value-dependent, so a static order could diverge from the interpreter's
-// dynamic choice. The fallback is per-evaluation and counted
-// (plan_cache_stats().bailouts) — semantics never change, only speed.
+// Computed pattern terms (an Expr that is not a literal, e.g. Sum1's
+// "[k - 2**(j-1), a]!") lower to bytecode too: a CheckExpr term op, an
+// ExactExpr scan whose bucket key is computed per step, and a secondary
+// probe fed by an ExprProgram. A term is *ready* iff every variable it
+// reads is bound before its pattern starts; a pattern is ready iff all
+// its terms are, and the planner defers unready patterns exactly as the
+// interpreter's rank-2 case does. Terms inside a pattern still see the
+// bindings made by earlier terms of that pattern ("[x, x+1]"). A trap
+// while evaluating a term rejects: a trap over bound values is permanent
+// for the branch, so the branch can yield no match whichever order the
+// patterns are tried in. One corner is order-sensitive: a short-circuit
+// "and"/"or" term whose skipped operand names an unbound variable is
+// unready here, while the interpreter's value-level try_eval would call
+// it ready.
 #pragma once
 
 #include <atomic>
@@ -42,11 +47,13 @@ struct TermOp {
     CheckConst,  // field must equal `want`
     Bind,        // slot is statically unbound here: bind it (undo-logged)
     Check,       // slot is statically bound here: field must equal env[slot]
+    CheckExpr,   // computed term: field must equal `expr`'s value (trap = reject)
   };
   Kind kind = Kind::Skip;
   std::uint32_t field = 0;
   std::int32_t slot = -1;
-  Value want;  // CheckConst
+  Value want;             // CheckConst
+  vm::ExprProgram expr;   // CheckExpr
 };
 
 /// One join step: which pattern runs at this depth, how its candidates are
@@ -56,14 +63,16 @@ struct StepPlan {
     Seed,        // candidates come from the caller's delta-seed list
     ExactConst,  // literal head: bucket key precomputed at compile time
     ExactSlot,   // variable head bound upstream: key from env[head_slot]
+    ExactExpr,   // ready computed head: key from head_expr (trap = no rows)
     Arity,       // unpinned head: arity-wide sweep
   };
-  enum class Second : std::uint8_t { None, Const, Slot };
+  enum class Second : std::uint8_t { None, Const, Slot, Expr };
 
   std::size_t pattern_idx = 0;  // original (textual) pattern position
   Scan scan = Scan::Arity;
   IndexKey key;                // ExactConst
   std::int32_t head_slot = -1; // ExactSlot
+  vm::ExprProgram head_expr;   // ExactExpr
   std::uint32_t arity = 0;
   /// Seed scans draw from a caller-supplied record list that may hold any
   /// arity; index scans (exact bucket or arity sweep) can only yield the
@@ -72,6 +81,7 @@ struct StepPlan {
   Second second = Second::None;  // secondary-index probe (Exact scans only)
   Value second_const;
   std::int32_t second_slot = -1;
+  vm::ExprProgram second_expr;  // Second::Expr (trap = no rows)
   std::vector<TermOp> ops;
 };
 
@@ -92,8 +102,9 @@ struct MatchProgram {
   std::vector<NegProgram> negations;
   int num_regs = 0;  // max register demand across all ExprPrograms
 
-  // Cache key.
-  std::uint64_t sig = 0;
+  // Cache key. Bit i of sig[i / 64] is set iff the plan cache's i-th
+  // signature slot was bound at evaluation entry.
+  std::vector<std::uint64_t> sig;
   std::uint64_t stats_epoch = 0;
   std::size_t seed_idx = 0;  // PlanCache::kNoSeed when unseeded
   bool planner = true;
@@ -107,21 +118,12 @@ struct PlanCacheStats {
   std::atomic<std::uint64_t> misses{0};
   std::atomic<std::uint64_t> compiles{0};
   std::atomic<std::uint64_t> invalidations{0};  // entries dropped on epoch drift
-  std::atomic<std::uint64_t> bailouts{0};       // evaluations interpreted instead
+  /// Evaluations that ran outside the compiled tier. Every query shape
+  /// compiles, so this stays 0; it is kept because the end-to-end
+  /// benchmark's query.bailout_frac metric reads it.
+  std::atomic<std::uint64_t> bailouts{0};
 };
 PlanCacheStats& plan_cache_stats();
-
-/// Process-wide kill switch (default on). The E13 ablation and the
-/// differential harness flip it to force the interpreter tier.
-[[nodiscard]] bool query_compiler_enabled();
-void set_query_compiler_enabled(bool on);
-
-/// True when every pattern term (outer and negated) is a literal,
-/// variable, or wildcard AND the query references at most 64 distinct
-/// pattern-variable slots — the fragment whose plan is a pure function of
-/// the binding signature. src/lang's analyzer uses this to note shapes
-/// that will run interpreted.
-[[nodiscard]] bool query_shape_compilable(const Query& q);
 
 /// Per-query compiled-plan cache, created by Query::resolve and shared by
 /// copies of the query (same resolved shape ⇒ same plans). Entries are
@@ -134,17 +136,18 @@ class PlanCache {
 
   explicit PlanCache(const Query& q);
 
-  /// Returns the compiled program for the current binding signature, or
-  /// nullptr when the query must run interpreted (uncompilable shape).
-  /// Compiles on miss. `q` must be the (shape-identical) query this cache
-  /// was built from; `env` must already have locals cleared.
+  /// Returns the compiled program for the current binding signature,
+  /// compiling it on a miss. `q` must be the (shape-identical) query this
+  /// cache was built from; `env` must already have locals cleared.
   [[nodiscard]] std::shared_ptr<const MatchProgram> acquire(
       const Query& q, const Env& env, std::uint64_t stats_epoch,
       std::size_t seed_idx);
 
  private:
-  bool compilable_ = false;
-  std::vector<std::int32_t> sig_slots_;  // distinct pattern-var slots, ≤ 64
+  /// Distinct slots whose boundness shapes the plan: pattern variables
+  /// and the variables computed terms read. Any number; the signature
+  /// takes one bit per slot.
+  std::vector<std::int32_t> sig_slots_;
   std::mutex mu_;
   std::vector<std::shared_ptr<const MatchProgram>> entries_;
 };
@@ -159,8 +162,8 @@ void compile_expr(const ExprPtr& e, vm::ExprProgram& out);
                                       const TupleSource& source, Env& env,
                                       const FunctionRegistry* fns);
 
-/// Seeded satisfiability on a compiled program (the PR 8 wakeup check run
-/// natively): pattern prog.seed_idx draws candidates from `seeds`.
+/// Seeded satisfiability on a compiled program (the delta-driven wakeup
+/// check): pattern prog.seed_idx draws candidates from `seeds`.
 /// Bindings never escape.
 [[nodiscard]] bool vm_satisfiable_seeded(const MatchProgram& prog,
                                          const TupleSource& source, Env& env,

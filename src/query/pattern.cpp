@@ -89,24 +89,6 @@ KeySpec TuplePattern::key_spec(const Env& env, const FunctionRegistry* fns) cons
   return spec;
 }
 
-std::optional<Value> TuplePattern::second_probe(const Env& env,
-                                                const FunctionRegistry* fns) const {
-  if (terms_.size() < 2) return std::nullopt;
-  const Term& t = terms_[1];
-  switch (t.kind) {
-    case Term::Kind::Wildcard:
-      return std::nullopt;
-    case Term::Kind::Var: {
-      const Value& bound = env[static_cast<std::size_t>(t.slot)];
-      if (bound.is_nil()) return std::nullopt;
-      return bound;
-    }
-    case Term::Kind::Expr:
-      return t.expr->try_eval(env, fns);
-  }
-  return std::nullopt;
-}
-
 std::string TuplePattern::to_string() const {
   std::string out = "[";
   for (std::size_t i = 0; i < terms_.size(); ++i) {

@@ -3,7 +3,6 @@
 // ('!' in our ASCII syntax, '↑' in the paper).
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,12 +74,6 @@ class TuplePattern {
 
   /// Computes the narrowest index probe available given current bindings.
   [[nodiscard]] KeySpec key_spec(const Env& env, const FunctionRegistry* fns) const;
-
-  /// If the second term is pinned under current bindings (constant
-  /// expression or bound variable), returns its value — the key into the
-  /// per-bucket secondary index.
-  [[nodiscard]] std::optional<Value> second_probe(const Env& env,
-                                                  const FunctionRegistry* fns) const;
 
   [[nodiscard]] std::string to_string() const;
 

@@ -4,11 +4,13 @@
 //
 // Evaluation is against a TupleSource — either the raw dataspace or a
 // process's view window (src/view) — always under the issuing engine's
-// locks, so sources may hand out stable references.
+// locks, so sources may hand out stable references. There is one
+// evaluator: resolve() attaches a plan cache, and evaluate() /
+// satisfiable_seeded() run the cached bytecode match program for the
+// current binding signature (src/query/compile.hpp, vm.hpp).
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -195,21 +197,14 @@ class Query {
   std::vector<NegatedGroup> negations;
   /// Join planning: when true (default) the evaluator greedily picks, at
   /// each join depth, an unmatched pattern that is *ready* (every
-  /// embedded expression evaluable under current bindings) with the
-  /// narrowest index probe (exact bucket before arity-wide). This is
-  /// purely an execution-order choice — conjunction is symmetric — but it
-  /// turns e.g. "[*-head], [pinned-head]" from a full scan into a probe,
-  /// and makes patterns with computed fields order-independent for the
+  /// variable its embedded expressions read is bound) with the narrowest
+  /// index probe (exact bucket before arity-wide). This is purely an
+  /// execution-order choice — conjunction is symmetric — but it turns
+  /// e.g. "[*-head], [pinned-head]" from a full scan into a probe, and
+  /// makes patterns with computed fields order-independent for the
   /// programmer. Disable for the E13 ablation or to get strict
   /// textual-order evaluation.
   bool use_planner = true;
-  /// Compiled tier (ROADMAP item 5, src/query/compile.hpp): when true and
-  /// the shape is compilable, evaluate() and satisfiable_seeded() execute
-  /// a cached bytecode match program instead of walking the pattern trees.
-  /// Semantics are identical (the differential harness in tests/query
-  /// proves it); disable per-query for ablations, or process-wide with
-  /// set_query_compiler_enabled(false).
-  bool use_compiler = true;
 
   /// Interns names and resolves expressions. Call exactly once.
   void resolve(SymbolTable& symtab);
@@ -260,12 +255,11 @@ class Query {
  private:
   std::vector<int> local_slots_;  // filled by resolve()
   /// Compiled-plan cache, created by resolve(); shared by copies of this
-  /// query (copies have the identical resolved shape). Null before
-  /// resolve() — evaluation then always takes the interpreter.
+  /// query (copies have the identical resolved shape).
   std::shared_ptr<PlanCache> plan_cache_;
 
-  bool negation_holds(const NegatedGroup& g, const TupleSource& source, Env& env,
-                      const FunctionRegistry* fns) const;
+  /// The plan cache; throws std::logic_error before resolve().
+  [[nodiscard]] PlanCache& cache() const;
 };
 
 }  // namespace sdl

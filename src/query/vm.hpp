@@ -1,14 +1,16 @@
-// The query VM (ROADMAP item 5): a small register machine that executes
-// expression bytecode compiled by src/query/compile.{hpp,cpp}.
+// The query VM: a small register machine that executes expression
+// bytecode compiled by src/query/compile.{hpp,cpp}. Every guard and
+// computed pattern term of a query runs here.
 //
-// The tree interpreter (expr.cpp) uses C++ exceptions as control flow: a
-// guard that divides by zero or orders an atom against an integer throws
-// std::invalid_argument, which guard_true catches to reject the candidate.
-// That is correct but costs a throw/catch round-trip per rejected candidate
-// and re-walks the shared_ptr tree per evaluation. The VM replaces both:
-// one flat instruction array per expression, evaluated left-to-right into a
-// caller-provided register file, with a `Trap` result code in place of the
-// exception — the hot path never throws.
+// The tree interpreter (Expr::eval in expr.cpp) uses C++ exceptions as
+// control flow: a guard that divides by zero or orders an atom against an
+// integer throws std::invalid_argument, which a tree-walking matcher would
+// catch to reject the candidate. That is correct but costs a throw/catch
+// round-trip per rejected candidate and re-walks the shared_ptr tree per
+// evaluation. The VM replaces both: one flat instruction array per
+// expression, evaluated left-to-right into a caller-provided register
+// file, with a `Trap` result code in place of the exception — the hot
+// path never throws.
 //
 // Trap semantics mirror the interpreter's std::invalid_argument cases
 // one-for-one (see arith_checked below, which BOTH tiers call so the

@@ -6,6 +6,7 @@
 
 #include "lang/analyze.hpp"
 #include "lang/compile.hpp"
+#include "query/compile.hpp"
 
 namespace sdl {
 namespace {
@@ -52,6 +53,27 @@ TEST(PaperExamplesTest, Sum2Script) {
   EXPECT_EQ(rt.space().count(tup(8, 11 + 22 + 33 + 44 + 55 + 66 + 77 + 88, 4)),
             1u);
   EXPECT_EQ(rt.consensus().fires(), 0u) << "fully asynchronous";
+}
+
+TEST(PaperExamplesTest, ComputedHeadProgramsRunCompiled) {
+  // Sum1 and Sum2 match "[k - 2**(j-1), a]!": a computed pattern head.
+  // Every evaluation of them goes through the plan cache, and none
+  // leaves the compiled tier.
+  constexpr std::int64_t kTotal = 11 + 22 + 33 + 44 + 55 + 66 + 77 + 88;
+  for (const char* name : {"sum1.sdl", "sum2.sdl"}) {
+    const PlanCacheStats& stats = plan_cache_stats();
+    const std::uint64_t lookups0 = stats.hits.load() + stats.misses.load();
+    const std::uint64_t bailouts0 = stats.bailouts.load();
+    Runtime rt = make_runtime();
+    lang::load_path(rt, script(name));
+    ASSERT_TRUE(rt.run().clean()) << name;
+    const Tuple total = std::string(name) == "sum1.sdl"
+                            ? tup(8, kTotal)
+                            : tup(8, kTotal, 4);
+    EXPECT_EQ(rt.space().count(total), 1u) << name;
+    EXPECT_GT(stats.hits.load() + stats.misses.load(), lookups0) << name;
+    EXPECT_EQ(stats.bailouts.load(), bailouts0) << name;
+  }
 }
 
 TEST(PaperExamplesTest, AllScriptsAnalyzeWithoutErrors) {

@@ -303,7 +303,9 @@ TEST_F(WalTest, TruncationAtEveryByteOffsetYieldsCleanPrefix) {
     } else if (r.header_ok) {
       // A cut exactly at a frame boundary (including right after the
       // header) parses clean but short; any other cut must be flagged.
-      if (r.valid_bytes != cut) ASSERT_TRUE(r.corrupt) << "offset " << cut;
+      if (r.valid_bytes != cut) {
+        ASSERT_TRUE(r.corrupt) << "offset " << cut;
+      }
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "oracle/join_interpreter.hpp"
+
 namespace sdl {
 namespace {
 
@@ -213,28 +215,33 @@ TEST(QueryTest, ViolatedForAllUnbindsPatternVars) {
   // Regression: a violated ForAll used to return without unwinding the
   // violating candidate's bindings, so pattern variables not declared
   // local stayed bound in env and acted as equality constraints on every
-  // later evaluation. Exercise both tiers.
-  for (const bool compiled : {true, false}) {
+  // later evaluation. Exercise Query::evaluate and the oracle.
+  for (const bool use_oracle : {false, true}) {
     QueryFixture f;
     f.space.insert(tup("t", 1), 0);
     f.space.insert(tup("t", 2), 0);
+    const auto run = [&](Query& q) {
+      if (!use_oracle) return f.run(q);
+      q.resolve(f.st);
+      f.env.resize(static_cast<std::size_t>(f.st.size()));
+      const DataspaceSource src(f.space);
+      return oracle::evaluate(q, src, f.env, &f.fns);
+    };
     Query q;
     q.quantifier = Quantifier::ForAll;
     q.patterns = {pat({A("t"), V("x")})};
     q.guard = lt(evar("x"), lit(2));  // violated by <t, 2>
-    q.use_compiler = compiled;
-    EXPECT_FALSE(f.run(q).success);
+    EXPECT_FALSE(run(q).success);
     EXPECT_TRUE(f.slot("x").is_nil())
-        << "violated ForAll leaked a binding (compiled=" << compiled << ")";
+        << "violated ForAll leaked a binding (oracle=" << use_oracle << ")";
     // Re-evaluation must see a fresh slot: with the leak, x was pinned to
     // the violating value and this Exists could only match <t, 2>.
     Query q2;
     q2.patterns = {pat({A("t"), V("x")})};
     q2.guard = eq(evar("x"), lit(1));
-    q2.use_compiler = compiled;
-    EXPECT_TRUE(f.run(q2).success)
-        << "stale ForAll binding constrained a later query (compiled="
-        << compiled << ")";
+    EXPECT_TRUE(run(q2).success)
+        << "stale ForAll binding constrained a later query (oracle="
+        << use_oracle << ")";
   }
 }
 

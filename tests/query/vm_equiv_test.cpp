@@ -1,19 +1,23 @@
-// Differential harness for the compiled query tier (ISSUE 10).
+// Differential harness for the compiled query tier.
 //
-// The compiler's correctness claim is total equivalence: for every query
-// in the compilable fragment, the bytecode match program must produce the
-// SAME QueryOutcome — success bit, match order, bindings, read sets,
-// retract sets — and the same final env as the join interpreter, under
-// every binding signature. This file discharges that claim two ways:
+// Query::evaluate and Query::satisfiable_seeded run the bytecode match
+// program (src/query/compile.hpp) — the runtime's only evaluator. Its
+// correctness claim is total equivalence with the tree-walking join
+// interpreter kept in tests/oracle: for every query shape, the SAME
+// QueryOutcome — success bit, match order, bindings, read sets, retract
+// sets — and the same final env, under every binding signature. This
+// file discharges that claim three ways:
 //
 //   * a shape sweep: every execution feature the compiler lowers
 //     (exact/arity/secondary scans, joins, wildcards, retract tags,
 //     negations, ForAll, seeded probes, guard traps, pre-bound
-//     signatures) evaluated compiled-vs-interpreted on the same data;
+//     signatures, computed terms, unready patterns, wide signatures)
+//     evaluated compiled-vs-oracle on the same data;
+//   * a seeded random-query sweep over the same features;
 //   * a seeded property test over random expression trees: the VM's
 //     value-or-trap must agree with the interpreter's value-or-throw on
 //     every tree. Runs under the ASan+UBSan and TSan CI jobs, so the
-//     satellite arithmetic fixes are exercised with sanitizers watching.
+//     checked arithmetic is exercised with sanitizers watching.
 #include "query/compile.hpp"
 
 #include <gtest/gtest.h>
@@ -27,50 +31,65 @@
 #include <string>
 #include <vector>
 
+#include "oracle/join_interpreter.hpp"
+
 namespace sdl {
 namespace {
 
-/// Evaluates structurally identical queries compiled and interpreted over
-/// one dataspace and asserts outcome + env equivalence.
+std::uint64_t plan_lookups() {
+  const PlanCacheStats& stats = plan_cache_stats();
+  return stats.hits.load() + stats.misses.load();
+}
+
+/// Evaluates a query compiled and through the oracle over one dataspace
+/// and asserts outcome + env equivalence.
 struct DiffFixture {
   Dataspace space{16};
   FunctionRegistry fns;
 
-  /// `make` builds the query fresh per tier (resolve() is once-only);
-  /// `pre` seeds process-persistent bindings after resolve, before
-  /// evaluation — the binding-signature dimension of the cache key.
+  /// `make` builds the query; `pre` seeds process-persistent bindings
+  /// after resolve, before evaluation — the binding-signature dimension
+  /// of the cache key.
   QueryOutcome diff(const std::function<Query()>& make,
-                    const std::function<void(SymbolTable&, Env&)>& pre = {},
-                    bool expect_compiled = true) {
-    SymbolTable st_c;
-    SymbolTable st_i;
-    Query qc = make();
-    Query qi = make();
-    qc.use_compiler = true;
-    qi.use_compiler = false;
-    qc.resolve(st_c);
-    qi.resolve(st_i);
-    Env env_c(static_cast<std::size_t>(st_c.size()));
-    Env env_i(static_cast<std::size_t>(st_i.size()));
-    if (pre) {
-      pre(st_c, env_c);
-      pre(st_i, env_i);
-    }
-    const auto& stats = plan_cache_stats();
-    const std::uint64_t lookups0 = stats.hits.load() + stats.misses.load();
-    const std::uint64_t bailouts0 = stats.bailouts.load();
+                    const std::function<void(SymbolTable&, Env&)>& pre = {}) {
+    SymbolTable st;
+    Query q = make();
+    q.resolve(st);
+    Env env_c(static_cast<std::size_t>(st.size()));
+    if (pre) pre(st, env_c);
+    Env env_o = env_c;
+    const std::uint64_t lookups0 = plan_lookups();
     const DataspaceSource src(space);
-    const QueryOutcome oc = qc.evaluate(src, env_c, &fns);
-    const QueryOutcome oi = qi.evaluate(src, env_i, &fns);
-    if (expect_compiled) {
-      EXPECT_GT(stats.hits.load() + stats.misses.load(), lookups0)
-          << "compiled tier never engaged — the comparison is vacuous";
-    } else {
-      EXPECT_GT(stats.bailouts.load(), bailouts0)
-          << "expected an interpreter bailout";
-    }
-    expect_equiv(oc, oi, env_c, env_i);
+    const QueryOutcome oc = q.evaluate(src, env_c, &fns);
+    const QueryOutcome oo = oracle::evaluate(q, src, env_o, &fns);
+    EXPECT_GT(plan_lookups(), lookups0)
+        << "plan cache never engaged — the comparison is vacuous";
+    expect_equiv(oc, oo, env_c, env_o);
     return oc;
+  }
+
+  /// Seeded satisfiability, compiled vs oracle; bindings must not escape.
+  bool diff_seeded(const std::function<Query()>& make, std::size_t seed_idx,
+                   const std::vector<const Record*>& seeds,
+                   const std::function<void(SymbolTable&, Env&)>& pre = {}) {
+    SymbolTable st;
+    Query q = make();
+    q.resolve(st);
+    Env env_c(static_cast<std::size_t>(st.size()));
+    if (pre) pre(st, env_c);
+    const Env entry = env_c;
+    Env env_o = env_c;
+    const std::uint64_t lookups0 = plan_lookups();
+    const DataspaceSource src(space);
+    const bool sc = q.satisfiable_seeded(src, env_c, &fns, seed_idx, seeds);
+    const bool so =
+        oracle::satisfiable_seeded(q, src, env_o, &fns, seed_idx, seeds);
+    EXPECT_GT(plan_lookups(), lookups0)
+        << "plan cache never engaged — the comparison is vacuous";
+    EXPECT_EQ(sc, so) << "seed_idx=" << seed_idx;
+    EXPECT_EQ(env_c, env_o);
+    EXPECT_EQ(env_c, entry) << "seeded probe leaked a binding";
+    return sc;
   }
 
   static void expect_equiv(const QueryOutcome& oc, const QueryOutcome& oi,
@@ -91,6 +110,13 @@ struct DiffFixture {
     EXPECT_EQ(env_c, env_i) << "final environments diverged";
   }
 };
+
+/// Binds the process-persistent variable `name` before evaluation.
+std::function<void(SymbolTable&, Env&)> bind(std::string name, Value v) {
+  return [name = std::move(name), v = std::move(v)](SymbolTable& st, Env& env) {
+    env[static_cast<std::size_t>(*st.lookup(name))] = v;
+  };
+}
 
 TEST(VmEquivTest, ExistsShapesAgree) {
   DiffFixture f;
@@ -320,25 +346,226 @@ TEST(VmEquivTest, PreBoundSignaturesGetDistinctPlans) {
   ASSERT_TRUE(pinned.success);
 }
 
-TEST(VmEquivTest, ComputedTermShapesBailOutToInterpreter) {
+TEST(VmEquivTest, ComputedTermShapesAgree) {
   DiffFixture f;
   f.space.insert(tup("s", 4), 0);
-  // <s, 2+2>: a computed Expr term — outside the compilable fragment; the
-  // compiled tier must bail (counted) and fall through with identical
-  // results.
-  EXPECT_TRUE(f.diff(
-                   [] {
-                     Query q;
-                     q.patterns = {pat({A("s"), E(add(lit(2), lit(2)))})};
-                     return q;
-                   },
-                   {}, /*expect_compiled=*/false)
-                  .success);
-  EXPECT_FALSE(query_shape_compilable([] {
+  // <s, 2+2>: a computed term with no variables.
+  EXPECT_TRUE(f.diff([] {
+                  Query q;
+                  q.patterns = {pat({A("s"), E(add(lit(2), lit(2)))})};
+                  return q;
+                }).success);
+  // §3.1 Sum1's combine step: ∃a,b : [k - 2**(j-1), a]!, [k, b]! — a
+  // computed head, ready from the start because k and j are parameters.
+  for (int k = 1; k <= 8; ++k) f.space.insert(tup(k, 11 * k), 0);
+  const auto sum1 = [] {
     Query q;
-    q.patterns = {pat({A("s"), E(add(lit(2), lit(2)))})};
+    q.local_vars = {"a", "b"};
+    TuplePattern lhs =
+        pat({E(sub(evar("k"), pow_(lit(2), sub(evar("j"), lit(1))))), V("a")});
+    lhs.set_retract(true);
+    TuplePattern rhs = pat({V("k"), V("b")});
+    rhs.set_retract(true);
+    q.patterns = {lhs, rhs};
     return q;
-  }()));
+  };
+  for (const int j : {1, 2, 3}) {
+    const QueryOutcome out = f.diff(sum1, [j](SymbolTable& st, Env& env) {
+      env[static_cast<std::size_t>(*st.lookup("k"))] = Value(8);
+      env[static_cast<std::size_t>(*st.lookup("j"))] = Value(j);
+    });
+    ASSERT_TRUE(out.success) << "j=" << j;
+    EXPECT_EQ(out.matches[0].retract.size(), 2u);
+  }
+  // Only j bound: the computed head is unready until [k, b] binds k, so
+  // the planner must defer it (rank 2) and still find every pairing.
+  // The <s, 4> tuple binds k to an atom, on which the head traps.
+  const QueryOutcome all = f.diff(
+      [&] {
+        Query q = sum1();
+        q.quantifier = Quantifier::ForAll;
+        return q;
+      },
+      bind("j", Value(2)));
+  ASSERT_TRUE(all.success);
+  EXPECT_EQ(all.matches.size(), 6u) << "k = 3..8 each find <k-2, _>";
+}
+
+TEST(VmEquivTest, ComputedSecondFieldProbesAgree) {
+  DiffFixture f;
+  for (int i = 0; i < 8; ++i) f.space.insert(tup("edge", i, i * 10), 0);
+  f.space.insert(tup("pick", 2), 0);
+  f.space.insert(tup("pick", 5), 0);
+  // [edge, x+1, w]: an exact scan with a secondary probe fed by bytecode.
+  const QueryOutcome out = f.diff([] {
+    Query q;
+    q.quantifier = Quantifier::ForAll;
+    q.local_vars = {"x", "w"};
+    q.patterns = {pat({A("pick"), V("x")}),
+                  pat({A("edge"), E(add(evar("x"), lit(1))), V("w")})};
+    return q;
+  });
+  ASSERT_TRUE(out.success);
+  EXPECT_EQ(out.matches.size(), 2u);
+  // A probe value no tuple carries.
+  EXPECT_FALSE(f.diff([] {
+                   Query q;
+                   q.local_vars = {"x", "w"};
+                   q.patterns = {pat({A("pick"), V("x")}),
+                                 pat({A("edge"), E(mul(evar("x"), lit(9))),
+                                      V("w")})};
+                   return q;
+                 }).success);
+}
+
+TEST(VmEquivTest, InPatternDependencyAgrees) {
+  DiffFixture f;
+  f.space.insert(tup(1, 2), 0);
+  f.space.insert(tup(2, 4), 0);
+  f.space.insert(tup(3, 4), 0);
+  f.space.insert(tup(5, 6), 0);
+  // [x, x+1]: the computed term reads a variable its own pattern binds
+  // one field earlier.
+  const QueryOutcome all = f.diff([] {
+    Query q;
+    q.quantifier = Quantifier::ForAll;
+    q.local_vars = {"x"};
+    q.patterns = {pat({V("x"), E(add(evar("x"), lit(1)))})};
+    return q;
+  });
+  ASSERT_TRUE(all.success);
+  EXPECT_EQ(all.matches.size(), 3u);
+  // Reversed, the term reads x before the pattern binds it: no match.
+  EXPECT_FALSE(f.diff([] {
+                   Query q;
+                   q.local_vars = {"x"};
+                   q.patterns = {pat({E(add(evar("x"), lit(1))), V("x")})};
+                   return q;
+                 }).success);
+}
+
+TEST(VmEquivTest, ValueDependentTrapsAgree) {
+  DiffFixture f;
+  f.space.insert(tup("pick", Value::atom("red")), 0);
+  f.space.insert(tup("pick", 3), 0);
+  f.space.insert(tup(4, 7), 0);
+  f.space.insert(tup("m", 4), 0);
+  f.space.insert(tup("w", 1), 0);
+  f.space.insert(tup("w", 2), 0);
+  // With x bound to the atom red, x+1 traps. The compiled plan tries the
+  // computed pattern as soon as x is bound and rejects on the trap; the
+  // oracle's try_eval calls it unready and tries [w, z] first. Either
+  // way the branch yields nothing, so matches and their order agree.
+  const auto make = [](Quantifier quantifier, TuplePattern computed) {
+    return [quantifier, computed] {
+      Query q;
+      q.quantifier = quantifier;
+      q.local_vars = {"x", "z"};
+      q.patterns = {computed, pat({A("pick"), V("x")}), pat({A("w"), V("z")})};
+      return q;
+    };
+  };
+  const TuplePattern computed_head = pat({E(add(evar("x"), lit(1))), W()});
+  const TuplePattern computed_second = pat({A("m"), E(add(evar("x"), lit(1)))});
+  for (const TuplePattern& computed : {computed_head, computed_second}) {
+    EXPECT_TRUE(f.diff(make(Quantifier::Exists, computed)).success);
+    const QueryOutcome all = f.diff(make(Quantifier::ForAll, computed));
+    ASSERT_TRUE(all.success);
+    EXPECT_EQ(all.matches.size(), 2u) << "x=3 pairs with both <w,_>";
+  }
+}
+
+TEST(VmEquivTest, PlannerOffWithUnboundExpressionAgrees) {
+  DiffFixture f;
+  f.space.insert(tup("head", 4), 0);
+  f.space.insert(tup(5, 50), 0);
+  // Textual order evaluates x+1 before anything binds x: no match.
+  EXPECT_FALSE(f.diff([] {
+                   Query q;
+                   q.use_planner = false;
+                   q.local_vars = {"x", "b"};
+                   q.patterns = {pat({E(add(evar("x"), lit(1))), V("b")}),
+                                 pat({A("head"), V("x")})};
+                   return q;
+                 }).success);
+  // The dependent pattern written last: textual order succeeds.
+  EXPECT_TRUE(f.diff([] {
+                  Query q;
+                  q.use_planner = false;
+                  q.local_vars = {"x", "b"};
+                  q.patterns = {pat({A("head"), V("x")}),
+                                pat({E(add(evar("x"), lit(1))), V("b")})};
+                  return q;
+                }).success);
+}
+
+TEST(VmEquivTest, CyclicNotReadyPairAgrees) {
+  DiffFixture f;
+  f.space.insert(tup(1, 1), 0);
+  // Each pattern's computed head needs the variable the other binds: no
+  // order can succeed, planner on or off.
+  for (const bool planner : {true, false}) {
+    EXPECT_FALSE(f.diff([planner] {
+                     Query q;
+                     q.use_planner = planner;
+                     q.local_vars = {"x", "y"};
+                     q.patterns = {pat({E(add(evar("x"), lit(1))), V("y")}),
+                                   pat({E(add(evar("y"), lit(1))), V("x")})};
+                     return q;
+                   }).success)
+        << "planner=" << planner;
+  }
+}
+
+TEST(VmEquivTest, SixtyFiveVariablesAgree) {
+  DiffFixture f;
+  // Two 65-field rows, [row, v0..v63], and a [pick, v64, v0] selector.
+  for (const int base : {0, 100}) {
+    std::vector<Value> row{Value::atom("row")};
+    for (int i = 0; i < 64; ++i) row.emplace_back(base + i);
+    f.space.insert(Tuple(std::move(row)), 0);
+  }
+  f.space.insert(tup("pick", 1, 100), 0);
+  f.space.insert(tup("pick", 2, 0), 0);
+  const auto make = [] {
+    Query q;
+    std::vector<Term> terms{A("row")};
+    for (int i = 0; i < 64; ++i) {
+      q.local_vars.push_back("v" + std::to_string(i));
+      terms.push_back(V("v" + std::to_string(i)));
+    }
+    // v64 is process-persistent: its boundness is signature bit 64.
+    q.patterns = {pat(terms), pat({A("pick"), V("v64"), V("v0")})};
+    return q;
+  };
+  const QueryOutcome free_v64 = f.diff(make);
+  ASSERT_TRUE(free_v64.success);
+  // Bound v64 lands in the signature's second word: a distinct plan,
+  // with a secondary probe on [pick, v64, _].
+  std::size_t v0_slot = 0;
+  const QueryOutcome pinned = f.diff(make, [&](SymbolTable& st, Env& env) {
+    env[static_cast<std::size_t>(*st.lookup("v64"))] = Value(1);
+    v0_slot = static_cast<std::size_t>(*st.lookup("v0"));
+  });
+  ASSERT_TRUE(pinned.success);
+  EXPECT_EQ(pinned.matches[0].binding[v0_slot], Value(100));
+  // One resolved query: each signature compiles once, then hits.
+  SymbolTable st;
+  Query q = make();
+  q.resolve(st);
+  Env env(static_cast<std::size_t>(st.size()));
+  const DataspaceSource src(f.space);
+  const PlanCacheStats& stats = plan_cache_stats();
+  const std::uint64_t misses0 = stats.misses.load();
+  const std::uint64_t hits0 = stats.hits.load();
+  for (int round = 0; round < 2; ++round) {
+    env[static_cast<std::size_t>(*st.lookup("v64"))] = Value();
+    ASSERT_TRUE(q.evaluate(src, env, &f.fns).success);
+    env[static_cast<std::size_t>(*st.lookup("v64"))] = Value(1);
+    ASSERT_TRUE(q.evaluate(src, env, &f.fns).success);
+  }
+  EXPECT_EQ(stats.misses.load() - misses0, 2u) << "one plan per signature";
+  EXPECT_EQ(stats.hits.load() - hits0, 2u);
 }
 
 TEST(VmEquivTest, SeededProbesAgree) {
@@ -355,36 +582,55 @@ TEST(VmEquivTest, SeededProbesAgree) {
                      return true;
                    });
   ASSERT_EQ(seeds.size(), 2u);
-  for (std::size_t seed_idx : {std::size_t{0}, std::size_t{1}}) {
-    SymbolTable st_c;
-    SymbolTable st_i;
-    const auto make = [] {
-      Query q;
-      q.local_vars = {"x"};
-      q.patterns = {pat({A("a"), V("x")}), pat({A("b"), V("x")})};
-      return q;
-    };
-    Query qc = make();
-    Query qi = make();
-    qc.use_compiler = true;
-    qi.use_compiler = false;
-    qc.resolve(st_c);
-    qi.resolve(st_i);
-    Env env_c(static_cast<std::size_t>(st_c.size()));
-    Env env_i(static_cast<std::size_t>(st_i.size()));
-    const DataspaceSource src(f.space);
-    // seed_idx 0 seeds pattern <a,x> from the delta; seed_idx 1 seeds
-    // <b,x> with records that belong to bucket <a,_> — arity matches but
-    // heads don't, so the seeded candidates all fail the head check.
-    const bool sc = qc.satisfiable_seeded(src, env_c, &f.fns, seed_idx, seeds);
-    const bool si = qi.satisfiable_seeded(src, env_i, &f.fns, seed_idx, seeds);
-    EXPECT_EQ(sc, si) << "seed_idx=" << seed_idx;
-    EXPECT_EQ(sc, seed_idx == 0);
-    EXPECT_EQ(env_c, env_i);
-    for (const Value& v : env_c) {
-      EXPECT_TRUE(v.is_nil()) << "seeded probe leaked a binding";
-    }
+  const auto make = [] {
+    Query q;
+    q.local_vars = {"x"};
+    q.patterns = {pat({A("a"), V("x")}), pat({A("b"), V("x")})};
+    return q;
+  };
+  // seed_idx 0 seeds pattern <a,x> from the delta; seed_idx 1 seeds
+  // <b,x> with records that belong to bucket <a,_> — arity matches but
+  // heads don't, so the seeded candidates all fail the head check.
+  EXPECT_TRUE(f.diff_seeded(make, 0, seeds));
+  EXPECT_FALSE(f.diff_seeded(make, 1, seeds));
+}
+
+TEST(VmEquivTest, SeededProbesOnComputedTermsAgree) {
+  DiffFixture f;
+  f.space.insert(tup(3, 33), 0);
+  f.space.insert(tup(4, 44), 0);
+  f.space.insert(tup("a", 1), 0);
+  f.space.insert(tup("a", 2), 0);
+  f.space.insert(tup("b", 3), 0);
+  std::vector<const Record*> seeds;
+  f.space.scan_arity(2, [&seeds](const Record& r) {
+    seeds.push_back(&r);
+    return true;
+  });
+  // Sum1's combine step with k bound: the computed head is ready, so the
+  // seeded pattern (either one) leads.
+  const auto sum1 = [] {
+    Query q;
+    q.local_vars = {"a", "b"};
+    q.patterns = {pat({E(sub(evar("k"), lit(1))), V("a")}),
+                  pat({V("k"), V("b")})};
+    return q;
+  };
+  for (const std::size_t seed_idx : {std::size_t{0}, std::size_t{1}}) {
+    EXPECT_TRUE(f.diff_seeded(sum1, seed_idx, seeds, bind("k", Value(4))));
+    EXPECT_FALSE(f.diff_seeded(sum1, seed_idx, seeds, bind("k", Value(9))));
   }
+  // [a, x], [b, x+1]: seeding the computed pattern defers it until x is
+  // bound (readiness outranks the seed).
+  const auto dep = [] {
+    Query q;
+    q.local_vars = {"x"};
+    q.patterns = {pat({A("a"), V("x")}),
+                  pat({A("b"), E(add(evar("x"), lit(1)))})};
+    return q;
+  };
+  EXPECT_TRUE(f.diff_seeded(dep, 0, seeds));
+  EXPECT_TRUE(f.diff_seeded(dep, 1, seeds));
 }
 
 TEST(VmEquivTest, PlanCacheInvalidatesOnIndexGrowth) {
@@ -419,25 +665,129 @@ TEST(VmEquivTest, PlanCacheInvalidatesOnIndexGrowth) {
       << "stale plan survived an index-statistics epoch bump";
 }
 
-TEST(VmEquivTest, ProcessWideKillSwitchForcesInterpreter) {
-  DiffFixture f;
-  f.space.insert(tup("k", 1), 0);
-  SymbolTable st;
-  Query q;
-  q.local_vars = {"x"};
-  q.patterns = {pat({A("k"), V("x")})};
-  q.resolve(st);
-  Env env(static_cast<std::size_t>(st.size()));
-  const auto& stats = plan_cache_stats();
-  set_query_compiler_enabled(false);
-  const std::uint64_t lookups0 = stats.hits.load() + stats.misses.load();
-  {
-    const DataspaceSource src(f.space);
-    EXPECT_TRUE(q.evaluate(src, env, &f.fns).success);
+// ---- Seeded random-query sweep ----
+
+/// Random queries over a small heterogeneous space: one to three patterns
+/// whose terms mix literal heads, variables, wildcards and computed terms
+/// (arithmetic over variables, some bound to atoms so the terms trap), an
+/// optional guard and negation, either quantifier, planner on or off.
+/// "p" is process-persistent and may be pre-bound; x, y, z are locals.
+class QueryGen {
+ public:
+  explicit QueryGen(std::uint64_t seed) : rng_(seed) {}
+
+  Query query() {
+    Query q;
+    q.quantifier = pick(3) == 0 ? Quantifier::ForAll : Quantifier::Exists;
+    q.use_planner = pick(4) != 0;
+    q.local_vars = {"x", "y", "z"};
+    const std::uint32_t n = 1 + pick(3);
+    for (std::uint32_t i = 0; i < n; ++i) q.patterns.push_back(pattern());
+    if (pick(3) == 0) q.guard = le(var(), var());
+    if (pick(4) == 0) q.negations.push_back(NegatedGroup{{pattern()}, nullptr});
+    return q;
   }
-  EXPECT_EQ(stats.hits.load() + stats.misses.load(), lookups0)
-      << "kill switch did not bypass the plan cache";
-  set_query_compiler_enabled(true);
+
+  /// A field value: mostly small integers, sometimes an atom.
+  Value value() {
+    return pick(6) == 0 ? Value::atom("red")
+                        : Value(static_cast<std::int64_t>(pick(4)));
+  }
+
+  std::uint32_t pick(std::uint32_t n) {
+    return static_cast<std::uint32_t>(rng_() % n);
+  }
+
+ private:
+  TuplePattern pattern() {
+    std::vector<Term> terms;
+    const std::uint32_t arity = 2 + pick(2);
+    for (std::uint32_t i = 0; i < arity; ++i) terms.push_back(term(i == 0));
+    return TuplePattern(std::move(terms), pick(3) == 0);
+  }
+
+  Term term(bool head) {
+    switch (pick(head ? 5 : 4)) {
+      case 0: return V(name());
+      case 1: return W();
+      case 2: return E(computed());
+      case 3: return C(Value(static_cast<std::int64_t>(pick(4))));
+      default: return A(pick(2) == 0 ? "a" : "b");
+    }
+  }
+
+  ExprPtr computed() {
+    switch (pick(3)) {
+      case 0: return add(var(), lit(1));
+      case 1: return sub(var(), var());
+      default: return mul(var(), lit(2));
+    }
+  }
+
+  ExprPtr var() { return evar(name()); }
+
+  std::string name() {
+    static const char* const kNames[] = {"x", "y", "z", "p"};
+    return kNames[pick(4)];
+  }
+
+  std::mt19937_64 rng_;
+};
+
+TEST(VmEquivTest, RandomQueriesAgree) {
+  std::size_t successes = 0;
+  std::size_t failures = 0;
+  std::size_t computed_matches = 0;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    QueryGen gen(seed);
+    DiffFixture f;
+    for (int i = 0; i < 24; ++i) {
+      const Value head = gen.pick(3) == 0
+                             ? Value(static_cast<std::int64_t>(gen.pick(4)))
+                             : Value::atom(gen.pick(2) == 0 ? "a" : "b");
+      if (gen.pick(2) == 0) {
+        f.space.insert(Tuple({head, gen.value()}), 0);
+      } else {
+        f.space.insert(Tuple({head, gen.value(), gen.value()}), 0);
+      }
+    }
+    const Query q = gen.query();
+    const std::uint32_t p_kind = gen.pick(3);
+    const Value p_value = gen.value();
+    const auto pre = [p_kind, p_value](SymbolTable& st, Env& env) {
+      if (const auto slot = st.lookup("p"); slot && p_kind != 0) {
+        env[static_cast<std::size_t>(*slot)] = p_value;
+      }
+    };
+    SCOPED_TRACE("seed " + std::to_string(seed) + ": " + q.to_string());
+    const QueryOutcome out = f.diff([&q] { return q; }, pre);
+    (out.success ? successes : failures) += 1;
+    bool has_computed = false;
+    for (const TuplePattern& p : q.patterns) {
+      for (const Term& t : p.terms()) {
+        has_computed |= t.kind == Term::Kind::Expr && t.expr->op() != Expr::Op::Const;
+      }
+    }
+    if (has_computed) computed_matches += out.matches.size();
+
+    // Seeded probes of the monotone shapes, from a random subset of the
+    // space as the delta.
+    if (q.quantifier != Quantifier::Exists || !q.negations.empty()) continue;
+    std::vector<const Record*> seeds;
+    for (const std::uint32_t arity : {2u, 3u}) {
+      f.space.scan_arity(arity, [&](const Record& r) {
+        if (gen.pick(2) == 0) seeds.push_back(&r);
+        return true;
+      });
+    }
+    f.diff_seeded([&q] { return q; }, gen.pick(static_cast<std::uint32_t>(q.patterns.size())),
+                  seeds, pre);
+  }
+  // Vacuity guard: the sweep must reach both outcomes and match computed
+  // terms.
+  EXPECT_GT(successes, 0u);
+  EXPECT_GT(failures, 0u);
+  EXPECT_GT(computed_matches, 0u);
 }
 
 // ---- Seeded expression property test (runs under ASan+UBSan in CI) ----

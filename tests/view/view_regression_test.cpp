@@ -165,7 +165,7 @@ TEST(ViewRegressionTest, GuardThrowingNonInvalidArgumentRestoresBindings) {
 
   // Only std::invalid_argument means "candidate not admitted"; everything
   // else must propagate to the caller...
-  EXPECT_THROW(v.imports_tuple(tup("k", 5), f.env, &f.fns),
+  EXPECT_THROW((void)v.imports_tuple(tup("k", 5), f.env, &f.fns),
                std::runtime_error);
   // ...but the candidate binding for x must be undone regardless. Before
   // the scope-guard fix the slot kept Value(5) here.

@@ -32,15 +32,14 @@
 #   * E20 overload smoke: goodput at 2x saturation must stay >=
 #     SDL_E20_GATE (default 0.7) of the peak-rate row — the graceful-
 #     degradation plateau. SDL_E20_MS shortens the per-row window for CI.
-#   * E13 wakeup-check ablation vs bench/BENCH_e13_baseline.json (same
-#     two-direction row coverage + tolerance band as E15), plus two
-#     self-relative gates on the largest guard-heavy shape: the
-#     empty-delta wakeup check must be >= SDL_E13_GATE (default 2.0)
-#     times faster than the full probe, and the compiled bytecode tier
-#     must be >= SDL_E13_GATE times faster than the join interpreter.
+#   * E13 planner/compiler ablation vs bench/BENCH_e13_baseline.json
+#     (same two-direction row coverage as E15), plus a self-relative
+#     gate on the largest guard-heavy shape: the compiled bytecode tier
+#     must be >= SDL_E13_GATE (default 2.0) times faster than the join
+#     interpreter.
 #   * E5 dataspace primitives vs bench/BENCH_e5_baseline.json — the
-#     zero-regression guard for the delta-capture hooks on the commit
-#     path (tolerance band, both-direction row coverage).
+#     zero-regression guard for the commit path (tolerance band,
+#     both-direction row coverage).
 #   * E21 replication vs bench/BENCH_e21_baseline.json (same band), plus
 #     the overhead gate: follower rows must commit at >= 1 - SDL_E21_GATE
 #     (default 0.10) of the 0-follower rate — WAL shipping stays off the
@@ -356,23 +355,7 @@ for name, brow in sorted(base_rows.items()):
                 f"refreshing {sys.argv[1]}")
 
 if bench == "bench_e13_planner":
-    # Self-relative incremental gate on the largest guard-heavy shape:
-    # machine speed cancels out of the ratio.
     gate = float(os.environ.get("SDL_E13_GATE", "2.0"))
-    full = cur_rows.get("BM_WakeupFullProbe/16384")
-    empty = cur_rows.get("BM_WakeupIncrementalEmpty/16384")
-    if full is None or empty is None:
-        failures.append("E13: wakeup ablation rows missing — gate cannot run")
-    else:
-        speedup = full["real_time"] / max(empty["real_time"], 1e-9)
-        if speedup < gate:
-            failures.append(
-                f"E13: incremental empty-delta wakeup check is only "
-                f"{speedup:.1f}x faster than the full probe at 16384 "
-                f"(gate {gate:.1f}x)")
-        else:
-            print(f"E13 wakeup gate: {speedup:.0f}x over full probe "
-                  f"(gate {gate:.1f}x)")
     # Compiled-tier gate (ISSUE 10), same discipline: the bytecode match
     # program must beat the join interpreter by >= SDL_E13_GATE on the
     # largest guard-heavy shape. Self-relative, so machine speed cancels.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 
 #include "consensus/consensus.hpp"
@@ -45,24 +46,27 @@ void collect_txns(const Statement* s, std::vector<const Transaction*>& out) {
   }
 }
 
-/// Could a write set land in any bucket this waiter listens to?
-bool interest_overlaps(const WaitSet::Interest& in,
-                       const Transaction::WriteSet& ws) {
-  if (ws.unknown) return true;  // bucket not computable: assume overlap
-  if (ws.exact.empty()) return false;
-  if (in.everything) return true;
-  for (const IndexKey& k : ws.exact) {
-    for (const IndexKey& ik : in.keys) {
-      if (ik == k) return true;
-    }
-    for (std::uint32_t a : in.arities) {
-      if (a == k.arity) return true;
-    }
-  }
-  return false;
+/// Appends `rank` unless it is already last. Ranks are pushed in
+/// ascending order, so every list stays sorted and duplicate-free.
+void push_rank(std::vector<std::uint32_t>& list, std::uint32_t rank) {
+  if (list.empty() || list.back() != rank) list.push_back(rank);
 }
 
 }  // namespace
+
+struct Scheduler::SupplierIndex {
+  /// Live processes' labels in sorted order; a process's rank is its
+  /// position here, so walking ranks in order renders sorted labels.
+  std::vector<std::string> labels;
+  std::unordered_map<ProcessId, std::uint32_t> rank_of;
+  // Sorted rank lists. `unknown`: some assertion bucket is not computable,
+  // so the process may supply any waiter. `exact`: at least one computable
+  // bucket, which is enough to wake an every-commit waiter.
+  std::vector<std::uint32_t> unknown;
+  std::vector<std::uint32_t> exact;
+  std::unordered_map<IndexKey, std::vector<std::uint32_t>, IndexKeyHash> by_key;
+  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> by_arity;
+};
 
 Scheduler::Scheduler(Engine& engine, SchedulerOptions opts)
     : engine_(engine), options_(opts) {
@@ -552,6 +556,7 @@ std::chrono::steady_clock::time_point Scheduler::park_clock_now() const {
 
 void Scheduler::expire_deadlines(std::chrono::steady_clock::time_point now) {
   std::vector<ProcessId> expired;
+  std::optional<SupplierIndex> suppliers;
   {
     std::scoped_lock society_lock(society_mutex_);
     for (auto& [pid, p] : society_) {
@@ -571,10 +576,13 @@ void Scheduler::expire_deadlines(std::chrono::steady_clock::time_point now) {
       // Build the wait-for diagnosis NOW, while the park state (frames,
       // interest, environment) is intact and we exclusively control the
       // process: it is Ready but not yet enqueued, and holding
-      // society_mutex_ blocks any begin_running.
+      // society_mutex_ blocks any begin_running. One supplier index
+      // serves the whole timeout storm.
+      if (!suppliers) suppliers = index_suppliers_locked();
       p->timeout_note = p->label() + " (" +
                         park_reason_name(p->park_reason) +
-                        ") park deadline expired" + explain_park_locked(*p);
+                        ") park deadline expired" +
+                        explain_park_locked(*p, *suppliers);
       expired.push_back(pid);
     }
   }
@@ -591,7 +599,61 @@ void Scheduler::expire_deadlines(std::chrono::steady_clock::time_point now) {
 
 // --------------------------------------------------------------- diagnosis
 
-std::string Scheduler::explain_park_locked(const Process& p) const {
+Scheduler::SupplierIndex Scheduler::index_suppliers_locked() const {
+  struct Live {
+    std::string label;
+    const Process* proc;
+    bool running;
+  };
+  std::vector<Live> live;
+  live.reserve(society_.size());
+  for (const auto& [pid, q] : society_) {
+    RunState qs;
+    {
+      std::scoped_lock state_lock(q->state_mutex);
+      qs = q->state;
+    }
+    if (qs == RunState::Done) continue;
+    live.push_back(Live{q->label(), q.get(), qs == RunState::Running});
+  }
+  std::sort(live.begin(), live.end(),
+            [](const Live& a, const Live& b) { return a.label < b.label; });
+
+  // Each body is scanned whole (over-approximation); a Running process's
+  // environment cannot be read safely, so its write sets are evaluated
+  // against an empty environment — unresolvable heads degrade to
+  // "unknown", which only adds candidates, never drops one.
+  SupplierIndex index;
+  index.labels.reserve(live.size());
+  std::vector<const Transaction*> txns;
+  for (std::uint32_t rank = 0; rank < live.size(); ++rank) {
+    const Process& q = *live[rank].proc;
+    index.rank_of.emplace(q.pid, rank);
+    Env scratch;
+    const Env* env = &q.env;
+    if (live[rank].running) {
+      scratch.resize(q.def.env_size());
+      env = &scratch;
+    }
+    txns.clear();
+    collect_txns(q.def.body.get(), txns);
+    for (const Transaction* t : txns) {
+      if (t->is_read_only()) continue;
+      const Transaction::WriteSet ws = t->write_set(*env, engine_.functions());
+      if (ws.unknown) push_rank(index.unknown, rank);
+      for (const IndexKey& k : ws.exact) {
+        push_rank(index.exact, rank);
+        push_rank(index.by_key[k], rank);
+        push_rank(index.by_arity[k.arity], rank);
+      }
+    }
+    index.labels.push_back(std::move(live[rank].label));
+  }
+  return index;
+}
+
+std::string Scheduler::explain_park_locked(
+    const Process& p, const SupplierIndex& suppliers) const {
   std::string out;
   if (!p.frames.empty()) {
     const Frame& f = p.frames.back();
@@ -635,57 +697,79 @@ std::string Scheduler::explain_park_locked(const Process& p) const {
     if (first) out += "(nothing)";
   }
 
-  // Which live processes could still assert a matching tuple. Each body
-  // is scanned whole (over-approximation); a Running process's
-  // environment cannot be read safely, so its write sets are evaluated
-  // against an empty environment — unresolvable heads degrade to
-  // "unknown", which only adds candidates, never drops one.
-  std::vector<std::string> suppliers;
-  for (const auto& [qid, q] : society_) {
-    if (qid == p.pid) continue;
-    RunState qs;
-    {
-      std::scoped_lock state_lock(q->state_mutex);
-      qs = q->state;
+  // Which live processes could still assert a matching tuple: the union
+  // of the index lists this interest selects, minus p itself.
+  std::vector<const std::vector<std::uint32_t>*> lists;
+  const auto select = [&lists](const std::vector<std::uint32_t>& l) {
+    if (!l.empty()) lists.push_back(&l);
+  };
+  select(suppliers.unknown);
+  if (p.interest.everything) {
+    select(suppliers.exact);
+  } else {
+    for (const IndexKey& k : p.interest.keys) {
+      if (auto it = suppliers.by_key.find(k); it != suppliers.by_key.end()) {
+        select(it->second);
+      }
     }
-    if (qs == RunState::Done) continue;
-    Env scratch;
-    const Env* env = &q->env;
-    if (qs == RunState::Running) {
-      scratch.resize(q->def.env_size());
-      env = &scratch;
-    }
-    std::vector<const Transaction*> txns;
-    collect_txns(q->def.body.get(), txns);
-    for (const Transaction* t : txns) {
-      if (t->is_read_only()) continue;
-      if (interest_overlaps(p.interest,
-                            t->write_set(*env, engine_.functions()))) {
-        suppliers.push_back(q->label());
-        break;
+    for (std::uint32_t a : p.interest.arities) {
+      if (auto it = suppliers.by_arity.find(a);
+          it != suppliers.by_arity.end()) {
+        select(it->second);
       }
     }
   }
-  if (suppliers.empty()) {
+  const auto self_it = suppliers.rank_of.find(p.pid);
+  const std::size_t self = self_it != suppliers.rank_of.end()
+                               ? self_it->second
+                               : suppliers.labels.size();
+  constexpr std::size_t kShown = 8;
+  std::vector<std::uint32_t> shown;
+  std::size_t count = 0;
+  if (lists.size() == 1) {
+    // One list (the common single-bucket wait): its size is the count.
+    const std::vector<std::uint32_t>& l = *lists.front();
+    count = l.size();
+    if (std::binary_search(l.begin(), l.end(), self)) --count;
+    for (std::size_t i = 0; i < l.size() && shown.size() < kShown; ++i) {
+      if (l[i] != self) shown.push_back(l[i]);
+    }
+  } else {
+    // k-way merge of sorted lists, counting each distinct rank once.
+    std::vector<std::size_t> pos(lists.size(), 0);
+    for (;;) {
+      std::size_t next = suppliers.labels.size();
+      for (std::size_t i = 0; i < lists.size(); ++i) {
+        if (pos[i] < lists[i]->size()) {
+          next = std::min<std::size_t>(next, (*lists[i])[pos[i]]);
+        }
+      }
+      if (next == suppliers.labels.size()) break;
+      for (std::size_t i = 0; i < lists.size(); ++i) {
+        if (pos[i] < lists[i]->size() && (*lists[i])[pos[i]] == next) {
+          ++pos[i];
+        }
+      }
+      if (next == self) continue;
+      ++count;
+      if (shown.size() < kShown) {
+        shown.push_back(static_cast<std::uint32_t>(next));
+      }
+    }
+  }
+  if (count == 0) {
     out += "\n    no live process can assert a matching tuple";
   } else {
-    std::sort(suppliers.begin(), suppliers.end());
     out += "\n    may be supplied by: ";
-    const std::size_t shown = std::min<std::size_t>(suppliers.size(), 8);
-    for (std::size_t i = 0; i < shown; ++i) {
+    for (std::size_t i = 0; i < shown.size(); ++i) {
       if (i > 0) out += ", ";
-      out += suppliers[i];
+      out += suppliers.labels[shown[i]];
     }
-    if (suppliers.size() > shown) {
-      out += " (+" + std::to_string(suppliers.size() - shown) + " more)";
+    if (count > shown.size()) {
+      out += " (+" + std::to_string(count - shown.size()) + " more)";
     }
   }
   return out;
-}
-
-std::string Scheduler::explain_park(const Process& p) {
-  std::scoped_lock lock(society_mutex_);
-  return explain_park_locked(p);
 }
 
 // --------------------------------------------------------------------- run
@@ -852,12 +936,15 @@ RunReport Scheduler::build_report(std::uint64_t completed_before) {
       }
       parked.push_back(p.get());
     }
-    // Render outside the per-process state locks: the wait-for diagnosis
-    // peeks at *other* processes' states, and state mutexes must not nest.
-    for (const Process* p : parked) {
-      report.parked.push_back(p->label() + " (" +
-                              park_reason_name(p->park_reason) + ")" +
-                              explain_park_locked(*p));
+    // Render outside the per-process state locks: the supplier index
+    // peeks at every process's state, and state mutexes must not nest.
+    if (!parked.empty()) {
+      const SupplierIndex suppliers = index_suppliers_locked();
+      for (const Process* p : parked) {
+        report.parked.push_back(p->label() + " (" +
+                                park_reason_name(p->park_reason) + ")" +
+                                explain_park_locked(*p, suppliers));
+      }
     }
   }
   {
@@ -1089,29 +1176,14 @@ TxnResult Scheduler::execute_engine(Process& p, const Transaction& txn) {
   return r;
 }
 
-void Scheduler::ensure_subscription(Process& p, WaitSet::Interest interest,
-                                    const Transaction* txn) {
+void Scheduler::ensure_subscription(Process& p, WaitSet::Interest interest) {
   if (p.ticket != WaitSet::kInvalidTicket) return;
   const ProcessId pid = p.pid;
   p.interest = interest;  // diagnosis copy (wait-for reports)
-  std::shared_ptr<IncrementalState> state;
-  if (txn != nullptr && incremental_active()) {
-    if (p.view_ptr() != nullptr && !p.view_ptr()->imports_everything()) {
-      // View-scoped evaluation re-admits candidates through the window on
-      // every attempt; a commit delta cannot answer admission, so these
-      // processes stay on the full path.
-      count_inc_fallback(IncFallbackReason::View);
-    } else {
-      state = make_incremental_state(txn->query, p.env, engine_.functions(),
-                                     inc_);
-      if (state == nullptr) count_inc_fallback(IncFallbackReason::Nonmonotone);
-    }
-  }
-  p.inc_state = state;
   bool saturated = false;
   p.ticket = engine_.waits().subscribe(
       std::move(interest), [this, pid] { wake(pid); },
-      overload_ != nullptr ? &saturated : nullptr, std::move(state));
+      overload_ != nullptr ? &saturated : nullptr);
   // A saturated bucket means this park joins a queue already past its
   // cap; finalize_park converts the hint into a forced short deadline so
   // the watchdog sheds the excess instead of letting the bucket grow.
@@ -1123,62 +1195,7 @@ void Scheduler::drop_subscription(Process& p) {
   engine_.waits().unsubscribe(p.ticket);
   p.ticket = WaitSet::kInvalidTicket;
   p.interest = {};
-  p.inc_state.reset();  // WaitSet ref is gone too — state frees here
   p.park_saturated = false;
-}
-
-bool Scheduler::incremental_active() const {
-  if (inc_ == nullptr) return false;
-  const IncrementalOptions& o = inc_->options();
-  if (!o.enabled) return false;
-  if (o.force) return true;
-  // The always-full path is what the sim explorer, fault campaigns and
-  // the serializability checker validate — keep them on it.
-  if (deterministic() || faults_ != nullptr) return false;
-  const HistoryRecorder* h = engine_.history();
-  return h == nullptr || !h->enabled();
-}
-
-void Scheduler::count_inc_fallback(IncFallbackReason r) {
-  inc_->count_fallback(r);
-  obs::RuntimeMetrics* const m = obs_metrics();
-  if (m == nullptr) return;
-  switch (r) {
-    case IncFallbackReason::Nonmonotone: m->inc_fallback_nonmonotone->add(); break;
-    case IncFallbackReason::View: m->inc_fallback_view->add(); break;
-    case IncFallbackReason::NoDelta: m->inc_fallback_no_delta->add(); break;
-    case IncFallbackReason::Batch: m->inc_fallback_batch->add(); break;
-    case IncFallbackReason::Capacity: m->inc_fallback_capacity->add(); break;
-  }
-}
-
-Scheduler::IncDecision Scheduler::incremental_recheck(Process& p,
-                                                      const Transaction& txn) {
-  if (p.inc_state == nullptr) return IncDecision::None;
-  IncrementalState::Pending pending = p.inc_state->take();
-  if (pending.invalid) {
-    count_inc_fallback(pending.reason);
-    return IncDecision::Fallback;
-  }
-  if (pending.entries.empty()) {
-    // The headline win: nothing relevant was asserted since the last
-    // failed evaluation, so by monotonicity the query is provably still
-    // unsatisfiable — park again without touching the dataspace.
-    inc_->checks_empty.fetch_add(1, std::memory_order_relaxed);
-    return IncDecision::StillParked;
-  }
-  inc_->checks_seeded.fetch_add(1, std::memory_order_relaxed);
-  inc_->delta_entries_applied.fetch_add(pending.entries.size(),
-                                        std::memory_order_relaxed);
-  if (obs::RuntimeMetrics* const m = obs_metrics(); m != nullptr) {
-    m->inc_delta_applied->add(pending.entries.size());
-  }
-  if (engine_.probe_seeded(txn, p.env, p.inc_state->specs(),
-                           pending.entries)) {
-    inc_->wakes_confirmed.fetch_add(1, std::memory_order_relaxed);
-    return IncDecision::MaybeEnabled;
-  }
-  return IncDecision::StillParked;
 }
 
 ControlAction Scheduler::apply_actions(Process& p, const Transaction& txn,
@@ -1257,20 +1274,9 @@ Scheduler::StepOutcome Scheduler::do_transaction(Process& p,
       // probe still wakes us (no lost wakeup). Read-only transactions
       // skip the probe: their execute() is already the shared-lock path.
       const bool recheck = p.ticket != WaitSet::kInvalidTicket;
-      // Delta-driven recheck (when armed): consult the retained state
-      // BEFORE the probe. StillParked skips all evaluation; MaybeEnabled
-      // skips the probe (the seeded check already found a witness) and
-      // goes straight to execute, which re-verifies under full locks.
-      const IncDecision inc =
-          recheck ? incremental_recheck(p, txn) : IncDecision::None;
-      ensure_subscription(p, engine_.interest_of(txn, p.env), &txn);
+      ensure_subscription(p, engine_.interest_of(txn, p.env));
       sim_note_txn(txn, p.env);
-      if (inc == IncDecision::StillParked) {
-        p.park_reason = ParkReason::DelayedTxn;
-        p.park_timeout_ms = txn.timeout_ms;
-        return StepOutcome::Parked;
-      }
-      if (recheck && inc != IncDecision::MaybeEnabled && !txn.is_read_only() &&
+      if (recheck && !txn.is_read_only() &&
           !engine_.probe(txn, p.env, p.view_ptr())) {
         p.park_reason = ParkReason::DelayedTxn;
         p.park_timeout_ms = txn.timeout_ms;

@@ -209,13 +209,12 @@ bool exact_sim(const TuplePattern& p, const BoundSet& bound) {
 }
 
 /// Replays the planner's pick loop under static boundness: rank 2 for an
-/// unready pattern, else -1 (seed) / 0 (exact) / 1 (arity). The
-/// early-break conditions decide which of several rank-0 patterns wins
-/// and must stay exactly as they are in the oracle join interpreter
-/// (tests/oracle/join_interpreter.cpp).
+/// unready pattern, else 0 (exact) / 1 (arity). The early break (the
+/// first rank-0 pattern wins) must stay exactly as it is in the oracle
+/// join interpreter (tests/oracle/join_interpreter.cpp).
 std::size_t pick_sim(const std::vector<TuplePattern>& patterns,
                      const std::vector<bool>& done, const BoundSet& bound,
-                     bool planner, std::size_t seed_idx) {
+                     bool planner) {
   if (!planner) {
     for (std::size_t i = 0; i < patterns.size(); ++i) {
       if (!done[i]) return i;
@@ -229,15 +228,13 @@ std::size_t pick_sim(const std::vector<TuplePattern>& patterns,
     int rank;
     if (!ready_sim(patterns[i], bound)) {
       rank = 2;
-    } else if (i == seed_idx) {
-      rank = -1;
     } else {
       rank = exact_sim(patterns[i], bound) ? 0 : 1;
     }
     if (rank < best_rank) {
       best_rank = rank;
       best = i;
-      if (rank < 0 || (rank == 0 && seed_idx == PlanCache::kNoSeed)) break;
+      if (rank == 0) break;
     }
   }
   return best;
@@ -250,21 +247,18 @@ bool is_literal(const Term& t) {
 /// Fixes the join order and flattens each pattern, threading the simulated
 /// bound-slot set (callers pass it on to negation compilation).
 std::vector<StepPlan> compile_join(const std::vector<TuplePattern>& patterns,
-                                   bool planner, std::size_t seed_idx,
-                                   BoundSet& bound) {
+                                   bool planner, BoundSet& bound) {
   std::vector<StepPlan> steps;
   steps.reserve(patterns.size());
   std::vector<bool> done(patterns.size(), false);
   for (std::size_t depth = 0; depth < patterns.size(); ++depth) {
-    const std::size_t idx = pick_sim(patterns, done, bound, planner, seed_idx);
+    const std::size_t idx = pick_sim(patterns, done, bound, planner);
     const TuplePattern& p = patterns[idx];
     StepPlan sp;
     sp.pattern_idx = idx;
     sp.arity = static_cast<std::uint32_t>(p.arity());
 
-    if (idx == seed_idx) {
-      sp.scan = StepPlan::Scan::Seed;
-    } else if (p.terms().empty()) {
+    if (p.terms().empty()) {
       sp.scan = StepPlan::Scan::ExactConst;
       sp.key = IndexKey{0, 0};
     } else {
@@ -298,8 +292,7 @@ std::vector<StepPlan> compile_join(const std::vector<TuplePattern>& patterns,
     // Secondary-index probe: only on exact scans (the planner probes the
     // second field only under an exact key), and classified with the
     // bindings as they stand BEFORE this pattern matches.
-    if (sp.scan != StepPlan::Scan::Seed && sp.scan != StepPlan::Scan::Arity &&
-        p.arity() >= 2) {
+    if (sp.scan != StepPlan::Scan::Arity && p.arity() >= 2) {
       const Term& t2 = p.terms()[1];
       if (is_literal(t2)) {
         sp.second = StepPlan::Second::Const;
@@ -312,8 +305,6 @@ std::vector<StepPlan> compile_join(const std::vector<TuplePattern>& patterns,
         sp.second_slot = t2.slot;
       }
     }
-
-    sp.check_arity = sp.scan == StepPlan::Scan::Seed;
 
     for (std::size_t f = 0; f < p.terms().size(); ++f) {
       const Term& t = p.terms()[f];
@@ -368,14 +359,12 @@ int join_regs(const std::vector<StepPlan>& steps) {
 
 std::shared_ptr<const MatchProgram> compile_program(
     const Query& q, const std::vector<std::uint64_t>& sig,
-    const std::vector<std::int32_t>& sig_slots, std::uint64_t stats_epoch,
-    std::size_t seed_idx) {
+    const std::vector<std::int32_t>& sig_slots, std::uint64_t stats_epoch) {
   auto prog = std::make_shared<MatchProgram>();
   prog->quantifier = q.quantifier;
   prog->pattern_count = q.patterns.size();
   prog->sig = sig;
   prog->stats_epoch = stats_epoch;
-  prog->seed_idx = seed_idx;
   prog->planner = q.use_planner;
   prog->retract.reserve(q.patterns.size());
   for (const TuplePattern& p : q.patterns) {
@@ -386,7 +375,7 @@ std::shared_ptr<const MatchProgram> compile_program(
   for (std::size_t i = 0; i < sig_slots.size(); ++i) {
     if ((sig[i / 64] >> (i % 64)) & 1u) bound.insert(sig_slots[i]);
   }
-  prog->steps = compile_join(q.patterns, q.use_planner, seed_idx, bound);
+  prog->steps = compile_join(q.patterns, q.use_planner, bound);
   compile_expr(q.guard, prog->guard);
   prog->num_regs = std::max(prog->guard.num_regs, join_regs(prog->steps));
 
@@ -395,7 +384,7 @@ std::shared_ptr<const MatchProgram> compile_program(
   for (const NegatedGroup& g : q.negations) {
     NegProgram np;
     BoundSet nb = bound;
-    np.steps = compile_join(g.patterns, q.use_planner, PlanCache::kNoSeed, nb);
+    np.steps = compile_join(g.patterns, q.use_planner, nb);
     compile_expr(g.guard, np.guard);
     prog->num_regs = std::max({prog->num_regs, np.guard.num_regs,
                                join_regs(np.steps)});
@@ -416,8 +405,7 @@ PlanCache::PlanCache(const Query& q) {
 }
 
 std::shared_ptr<const MatchProgram> PlanCache::acquire(
-    const Query& q, const Env& env, std::uint64_t stats_epoch,
-    std::size_t seed_idx) {
+    const Query& q, const Env& env, std::uint64_t stats_epoch) {
   PlanCacheStats& stats = plan_cache_stats();
   // Reused per thread: building the signature allocates nothing once warm.
   thread_local std::vector<std::uint64_t> sig;
@@ -432,9 +420,7 @@ std::shared_ptr<const MatchProgram> PlanCache::acquire(
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     const MatchProgram& e = **it;
-    if (e.sig != sig || e.seed_idx != seed_idx || e.planner != q.use_planner) {
-      continue;
-    }
+    if (e.sig != sig || e.planner != q.use_planner) continue;
     if (e.stats_epoch != stats_epoch) {
       // Index statistics drifted (bucket table resized) since this plan
       // was built — drop it and recompile below.
@@ -447,7 +433,7 @@ std::shared_ptr<const MatchProgram> PlanCache::acquire(
   }
   stats.misses.fetch_add(1, std::memory_order_relaxed);
   stats.compiles.fetch_add(1, std::memory_order_relaxed);
-  auto prog = compile_program(q, sig, sig_slots_, stats_epoch, seed_idx);
+  auto prog = compile_program(q, sig, sig_slots_, stats_epoch);
   if (entries_.size() >= 16) entries_.erase(entries_.begin());
   entries_.push_back(prog);
   return prog;
@@ -466,17 +452,15 @@ struct Execution {
   const TupleSource& source;
   Env& env;
   const FunctionRegistry* fns;
-  const std::vector<const Record*>* seeds;
   std::vector<std::int32_t> undo;
   std::vector<Value> regs;
 
   Execution(const MatchProgram& p, const TupleSource& s, Env& e,
-            const FunctionRegistry* f, const std::vector<const Record*>* sd)
+            const FunctionRegistry* f)
       : prog(p),
         source(s),
         env(e),
         fns(f),
-        seeds(sd),
         regs(static_cast<std::size_t>(p.num_regs)) {}
 
   bool guard_pass(const vm::ExprProgram& g) {
@@ -502,7 +486,6 @@ struct Execution {
   /// One linear pass over the candidate; on reject, bindings this
   /// candidate made are already undone.
   bool match_candidate(const StepPlan& sp, const Tuple& t) {
-    if (sp.check_arity && t.arity() != sp.arity) return false;
     const std::size_t mark = undo.size();
     for (const TermOp& op : sp.ops) {
       const Value& field = t[op.field];
@@ -562,11 +545,6 @@ struct Execution {
 
     IndexKey key = sp.key;
     switch (sp.scan) {
-      case StepPlan::Scan::Seed:
-        for (const Record* r : *seeds) {
-          if (!try_record(*r)) break;
-        }
-        return keep_going;
       case StepPlan::Scan::Arity:
         source.scan_arity(sp.arity, try_record);
         return keep_going;
@@ -639,7 +617,7 @@ QueryMatch build_match(const MatchProgram& prog,
 
 QueryOutcome vm_execute(const MatchProgram& prog, const TupleSource& source,
                         Env& env, const FunctionRegistry* fns) {
-  Execution ex(prog, source, env, fns, nullptr);
+  Execution ex(prog, source, env, fns);
   QueryOutcome out;
   std::vector<const Record*> chosen(prog.pattern_count, nullptr);
 
@@ -679,21 +657,6 @@ QueryOutcome vm_execute(const MatchProgram& prog, const TupleSource& source,
   }
   out.success = !violated;
   return out;
-}
-
-bool vm_satisfiable_seeded(const MatchProgram& prog, const TupleSource& source,
-                           Env& env, const FunctionRegistry* fns,
-                           const std::vector<const Record*>& seeds) {
-  Execution ex(prog, source, env, fns, &seeds);
-  std::vector<const Record*> chosen(prog.pattern_count, nullptr);
-  bool witness = false;
-  ex.run_steps(prog.steps, chosen, 0, [&]() -> bool {
-    if (!ex.guard_pass(prog.guard)) return true;
-    witness = true;
-    return false;
-  });
-  ex.undo_to(0);  // bindings never escape the seeded check
-  return witness;
 }
 
 }  // namespace sdl

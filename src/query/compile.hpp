@@ -5,7 +5,7 @@
 //
 // Every planning decision is a function of WHICH slots are bound when
 // evaluation starts (the binding signature), never of the bound values.
-// So we compile once per (binding signature, seed index, index epoch):
+// So we compile once per (binding signature, index epoch):
 // replay the planner's pick loop to fix the join order, pre-classify
 // every scan (exact bucket / secondary probe / arity sweep), flatten each
 // pattern into term ops, and compile guards to bytecode. Evaluation is
@@ -60,7 +60,6 @@ struct TermOp {
 /// scanned, and the term ops that accept/reject each candidate.
 struct StepPlan {
   enum class Scan : std::uint8_t {
-    Seed,        // candidates come from the caller's delta-seed list
     ExactConst,  // literal head: bucket key precomputed at compile time
     ExactSlot,   // variable head bound upstream: key from env[head_slot]
     ExactExpr,   // ready computed head: key from head_expr (trap = no rows)
@@ -74,10 +73,6 @@ struct StepPlan {
   std::int32_t head_slot = -1; // ExactSlot
   vm::ExprProgram head_expr;   // ExactExpr
   std::uint32_t arity = 0;
-  /// Seed scans draw from a caller-supplied record list that may hold any
-  /// arity; index scans (exact bucket or arity sweep) can only yield the
-  /// step's arity, so the per-candidate check is compiled out for them.
-  bool check_arity = false;
   Second second = Second::None;  // secondary-index probe (Exact scans only)
   Value second_const;
   std::int32_t second_slot = -1;
@@ -106,7 +101,6 @@ struct MatchProgram {
   // signature slot was bound at evaluation entry.
   std::vector<std::uint64_t> sig;
   std::uint64_t stats_epoch = 0;
-  std::size_t seed_idx = 0;  // PlanCache::kNoSeed when unseeded
   bool planner = true;
 };
 
@@ -127,21 +121,18 @@ PlanCacheStats& plan_cache_stats();
 
 /// Per-query compiled-plan cache, created by Query::resolve and shared by
 /// copies of the query (same resolved shape ⇒ same plans). Entries are
-/// keyed by (binding signature, seed index, planner flag, index-statistics
+/// keyed by (binding signature, planner flag, index-statistics
 /// epoch); an epoch bump — the dataspace resized a bucket table, i.e. its
 /// population drifted materially — invalidates on next lookup.
 class PlanCache {
  public:
-  static constexpr std::size_t kNoSeed = static_cast<std::size_t>(-1);
-
   explicit PlanCache(const Query& q);
 
   /// Returns the compiled program for the current binding signature,
   /// compiling it on a miss. `q` must be the (shape-identical) query this
   /// cache was built from; `env` must already have locals cleared.
   [[nodiscard]] std::shared_ptr<const MatchProgram> acquire(
-      const Query& q, const Env& env, std::uint64_t stats_epoch,
-      std::size_t seed_idx);
+      const Query& q, const Env& env, std::uint64_t stats_epoch);
 
  private:
   /// Distinct slots whose boundness shapes the plan: pattern variables
@@ -161,13 +152,5 @@ void compile_expr(const ExprPtr& e, vm::ExprProgram& out);
 [[nodiscard]] QueryOutcome vm_execute(const MatchProgram& prog,
                                       const TupleSource& source, Env& env,
                                       const FunctionRegistry* fns);
-
-/// Seeded satisfiability on a compiled program (the delta-driven wakeup
-/// check): pattern prog.seed_idx draws candidates from `seeds`.
-/// Bindings never escape.
-[[nodiscard]] bool vm_satisfiable_seeded(const MatchProgram& prog,
-                                         const TupleSource& source, Env& env,
-                                         const FunctionRegistry* fns,
-                                         const std::vector<const Record*>& seeds);
 
 }  // namespace sdl

@@ -29,33 +29,12 @@ void Query::clear_locals(Env& env) const {
 QueryOutcome Query::evaluate(const TupleSource& source, Env& env,
                              const FunctionRegistry* fns) const {
   clear_locals(env);
-  const auto prog = cache().acquire(*this, env, source.stats_epoch(),
-                                    PlanCache::kNoSeed);
+  const auto prog = cache().acquire(*this, env, source.stats_epoch());
   QueryOutcome out = vm_execute(*prog, source, env, fns);
   // On Exists-success env keeps the winning binding: action expressions
   // read it.
   if (!out.success || quantifier == Quantifier::ForAll) clear_locals(env);
   return out;
-}
-
-bool Query::satisfiable_seeded(const TupleSource& source, Env& env,
-                               const FunctionRegistry* fns,
-                               std::size_t seed_idx,
-                               const std::vector<const Record*>& seeds) const {
-  // Outside the monotone fragment the seeded shortcut is unsound — answer
-  // "maybe satisfiable" so the caller takes the full path. States are
-  // never created for these shapes; this is belt-and-braces.
-  if (quantifier != Quantifier::Exists || !negations.empty() ||
-      seed_idx >= patterns.size()) {
-    return true;
-  }
-  clear_locals(env);
-  const auto prog = cache().acquire(*this, env, source.stats_epoch(), seed_idx);
-  // Bindings never escape — a positive answer falls through to the full
-  // execute(), which rebinds from scratch under the same locks.
-  const bool witness = vm_satisfiable_seeded(*prog, source, env, fns, seeds);
-  clear_locals(env);
-  return witness;
 }
 
 PlanCache& Query::cache() const {

@@ -5,9 +5,9 @@
 // Evaluation is against a TupleSource — either the raw dataspace or a
 // process's view window (src/view) — always under the issuing engine's
 // locks, so sources may hand out stable references. There is one
-// evaluator: resolve() attaches a plan cache, and evaluate() /
-// satisfiable_seeded() run the cached bytecode match program for the
-// current binding signature (src/query/compile.hpp, vm.hpp).
+// evaluator: resolve() attaches a plan cache, and evaluate() runs the
+// cached bytecode match program for the current binding signature
+// (src/query/compile.hpp, vm.hpp).
 #pragma once
 
 #include <atomic>
@@ -224,22 +224,6 @@ class Query {
                                               const FunctionRegistry* fns) const;
 
   [[nodiscard]] std::string to_string() const;
-
-  /// Seeded satisfiability check — the delta-driven wakeup path
-  /// (src/query/incremental.hpp). Behaves like `evaluate(...).success`
-  /// for a monotone Exists query except that pattern `seed_idx` draws its
-  /// candidates from `seeds` (live records from the accumulated commit
-  /// delta) instead of scanning the source; every other pattern scans the
-  /// full window, so assignments combining several new tuples are still
-  /// found via whichever of them seeds. Bindings never escape (`env`'s
-  /// local slots are left cleared) — a positive answer falls through to
-  /// the full execute(), which rebinds identically. Conservatively
-  /// returns true (= take the full path) outside the monotone fragment.
-  /// Caller must hold the engine's read locks covering the query's read
-  /// set; `seeds` must point into live index nodes under those locks.
-  [[nodiscard]] bool satisfiable_seeded(
-      const TupleSource& source, Env& env, const FunctionRegistry* fns,
-      std::size_t seed_idx, const std::vector<const Record*>& seeds) const;
 
   /// True when the query has no patterns and no negations (a pure guard,
   /// like Sum1's "k mod 2^(j+1) = 0" consensus conditions).

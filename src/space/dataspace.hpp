@@ -176,15 +176,6 @@ class Dataspace {
   /// epoch::Guard with version validation (see file comment).
   void scan_key(const IndexKey& key, const RecordFn& fn) const;
 
-  /// O(1) lookup of a resident instance by bucket + id — the incremental
-  /// wakeup path's delta-liveness probe (src/query/incremental.hpp):
-  /// a delta entry whose instance has since been retracted must not seed
-  /// a join. Returns null when not resident. Goes through the writer-side
-  /// `position` map, so the caller must hold that shard's lock (shared
-  /// suffices) — NOT safe for optimistic readers. The returned pointer is
-  /// stable for as long as the caller holds the lock.
-  [[nodiscard]] const Record* find(const IndexKey& key, TupleId id) const;
-
   /// Visits only the records in bucket `key` whose SECOND field equals
   /// `second` — a probe on the per-bucket secondary index. This is what
   /// makes a join pattern like [label, p, l] with `p` already bound a

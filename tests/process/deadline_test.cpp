@@ -4,6 +4,9 @@
 // can tell a deadlock from an incomplete consensus set.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <span>
+
 #include "process/runtime.hpp"
 
 namespace sdl {
@@ -111,6 +114,67 @@ TEST(DeadlineTest, CircularWaitDiagnosisNamesSuppliers) {
   EXPECT_NE(beta_note.find("Alpha"), std::string::npos) << beta_note;
   EXPECT_EQ(report.still_parked, 0u);
   EXPECT_EQ(rt.waits().subscriber_count(), 0u);
+}
+
+/// `n` waiters that park on [go] (read, never asserted); each body also
+/// holds an unreached assert whose head `probe(k)` counts every write-set
+/// evaluation the wait-for diagnosis makes. probe returns `go`, so every
+/// waiter is a candidate supplier of every other.
+void define_probed_waiters(Runtime& rt, int n, std::int64_t timeout_ms,
+                           std::atomic<int>& probes) {
+  rt.functions().register_function("probe", [&probes](std::span<const Value>) {
+    probes.fetch_add(1);
+    return Value::atom("go");
+  });
+  ProcessDef def;
+  def.name = "Waiter";
+  def.params = {"k"};
+  def.body = seq({stmt(TxnBuilder(TxnType::Delayed)
+                           .match(pat({A("go")}))
+                           .timeout(timeout_ms)
+                           .build()),
+                  stmt(TxnBuilder()
+                           .assert_tuple({call_fn("probe", {evar("k")})})
+                           .build())});
+  rt.define(std::move(def));
+  for (int k = 0; k < n; ++k) rt.spawn("Waiter", {Value(k)});
+}
+
+TEST(DeadlineTest, ParkReportEvaluatesEachWriteSetOnce) {
+  // The report explains every parked process from one supplier index:
+  // each live process's write sets are evaluated once per report, not
+  // once per parked process (which made a report O(P²)).
+  constexpr int kWaiters = 24;
+  std::atomic<int> probes{0};
+  Runtime rt(small_opts());
+  define_probed_waiters(rt, kWaiters, /*timeout_ms=*/-1, probes);
+  const RunReport report = rt.run();
+  ASSERT_EQ(report.still_parked, static_cast<std::size_t>(kWaiters));
+  ASSERT_EQ(report.parked.size(), static_cast<std::size_t>(kWaiters));
+  EXPECT_EQ(probes.load(), kWaiters);
+  // Every other waiter is a supplier: eight named, the rest counted.
+  for (const std::string& note : report.parked) {
+    EXPECT_NE(note.find("may be supplied by: Waiter#"), std::string::npos)
+        << note;
+    EXPECT_NE(note.find("(+15 more)"), std::string::npos) << note;
+  }
+}
+
+TEST(DeadlineTest, TimeoutStormEvaluatesEachWriteSetOnce) {
+  // Deterministic mode: every waiter parks before virtual time advances,
+  // so all deadlines expire in one pass, which shares one supplier index.
+  constexpr int kWaiters = 24;
+  std::atomic<int> probes{0};
+  RuntimeOptions o = small_opts();
+  o.scheduler.deterministic_seed = 7;
+  Runtime rt(o);
+  define_probed_waiters(rt, kWaiters, /*timeout_ms=*/50, probes);
+  const RunReport report = rt.run();
+  ASSERT_EQ(report.timed_out.size(), static_cast<std::size_t>(kWaiters));
+  EXPECT_EQ(probes.load(), kWaiters);
+  for (const std::string& note : report.timed_out) {
+    EXPECT_NE(note.find("(+15 more)"), std::string::npos) << note;
+  }
 }
 
 TEST(DeadlineTest, ConsensusOfferTimesOutWithoutWedging) {

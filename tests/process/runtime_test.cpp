@@ -441,5 +441,46 @@ TEST(RuntimeTest, PipelineOfDelayedProcesses) {
   EXPECT_EQ(rt.space().count(tup("token", kStages)), 1u);
 }
 
+TEST(RuntimeTest, ThreadedEqualityReadersParkUntilWritersAgree) {
+  // Threaded society on the default recheck path: writers keep a==b by
+  // consuming both counters and asserting both bumped; readers park on
+  // the a==b guard, so every writer commit wakes them to probe again.
+  for (const EngineKind kind : {EngineKind::GlobalLock, EngineKind::Sharded}) {
+    Runtime rt(small_opts(kind));
+    rt.seed(tup("a", 0));
+    rt.seed(tup("b", 0));
+    ProcessDef w;
+    w.name = "Inc2";
+    w.body = seq({stmt(TxnBuilder(TxnType::Delayed)
+                           .exists({"x", "y"})
+                           .match(pat({A("a"), V("x")}), true)
+                           .match(pat({A("b"), V("y")}), true)
+                           .assert_tuple({lit(Value::atom("a")),
+                                          add(evar("x"), lit(1))})
+                           .assert_tuple({lit(Value::atom("b")),
+                                          add(evar("y"), lit(1))})
+                           .build())});
+    ProcessDef r;
+    r.name = "ReadBoth";
+    r.body = seq({stmt(TxnBuilder(TxnType::Delayed)
+                           .exists({"x", "y"})
+                           .match(pat({A("a"), V("x")}))
+                           .match(pat({A("b"), V("y")}))
+                           .where(eq(evar("x"), evar("y")))
+                           .build())});
+    rt.define(std::move(w));
+    rt.define(std::move(r));
+    for (int i = 0; i < 4; ++i) {
+      rt.spawn("Inc2");
+      rt.spawn("ReadBoth");
+    }
+    const RunReport report = rt.run();
+    EXPECT_TRUE(report.clean()) << report.still_parked << " parked";
+    EXPECT_EQ(rt.space().count(tup("a", 4)), 1u);
+    EXPECT_EQ(rt.space().count(tup("b", 4)), 1u);
+    EXPECT_EQ(rt.waits().subscriber_count(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace sdl

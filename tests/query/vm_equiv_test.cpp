@@ -1,18 +1,18 @@
 // Differential harness for the compiled query tier.
 //
-// Query::evaluate and Query::satisfiable_seeded run the bytecode match
-// program (src/query/compile.hpp) — the runtime's only evaluator. Its
-// correctness claim is total equivalence with the tree-walking join
-// interpreter kept in tests/oracle: for every query shape, the SAME
-// QueryOutcome — success bit, match order, bindings, read sets, retract
-// sets — and the same final env, under every binding signature. This
-// file discharges that claim three ways:
+// Query::evaluate runs the bytecode match program (src/query/compile.hpp)
+// — the runtime's only evaluator. Its correctness claim is total
+// equivalence with the tree-walking join interpreter kept in
+// tests/oracle: for every query shape, the SAME QueryOutcome — success
+// bit, match order, bindings, read sets, retract sets — and the same
+// final env, under every binding signature. This file discharges that
+// claim three ways:
 //
 //   * a shape sweep: every execution feature the compiler lowers
 //     (exact/arity/secondary scans, joins, wildcards, retract tags,
-//     negations, ForAll, seeded probes, guard traps, pre-bound
-//     signatures, computed terms, unready patterns, wide signatures)
-//     evaluated compiled-vs-oracle on the same data;
+//     negations, ForAll, guard traps, pre-bound signatures, computed
+//     terms, unready patterns, wide signatures) evaluated
+//     compiled-vs-oracle on the same data;
 //   * a seeded random-query sweep over the same features;
 //   * a seeded property test over random expression trees: the VM's
 //     value-or-trap must agree with the interpreter's value-or-throw on
@@ -66,30 +66,6 @@ struct DiffFixture {
         << "plan cache never engaged — the comparison is vacuous";
     expect_equiv(oc, oo, env_c, env_o);
     return oc;
-  }
-
-  /// Seeded satisfiability, compiled vs oracle; bindings must not escape.
-  bool diff_seeded(const std::function<Query()>& make, std::size_t seed_idx,
-                   const std::vector<const Record*>& seeds,
-                   const std::function<void(SymbolTable&, Env&)>& pre = {}) {
-    SymbolTable st;
-    Query q = make();
-    q.resolve(st);
-    Env env_c(static_cast<std::size_t>(st.size()));
-    if (pre) pre(st, env_c);
-    const Env entry = env_c;
-    Env env_o = env_c;
-    const std::uint64_t lookups0 = plan_lookups();
-    const DataspaceSource src(space);
-    const bool sc = q.satisfiable_seeded(src, env_c, &fns, seed_idx, seeds);
-    const bool so =
-        oracle::satisfiable_seeded(q, src, env_o, &fns, seed_idx, seeds);
-    EXPECT_GT(plan_lookups(), lookups0)
-        << "plan cache never engaged — the comparison is vacuous";
-    EXPECT_EQ(sc, so) << "seed_idx=" << seed_idx;
-    EXPECT_EQ(env_c, env_o);
-    EXPECT_EQ(env_c, entry) << "seeded probe leaked a binding";
-    return sc;
   }
 
   static void expect_equiv(const QueryOutcome& oc, const QueryOutcome& oi,
@@ -568,71 +544,6 @@ TEST(VmEquivTest, SixtyFiveVariablesAgree) {
   EXPECT_EQ(stats.hits.load() - hits0, 2u);
 }
 
-TEST(VmEquivTest, SeededProbesAgree) {
-  DiffFixture f;
-  f.space.insert(tup("a", 1), 0);
-  f.space.insert(tup("a", 2), 0);
-  f.space.insert(tup("b", 2), 0);
-  // Collect the <a,_> records as the delta-seed list, the way the wakeup
-  // path would hand them over.
-  std::vector<const Record*> seeds;
-  f.space.scan_key(IndexKey::of_head(2, Value::atom("a")),
-                   [&seeds](const Record& r) {
-                     seeds.push_back(&r);
-                     return true;
-                   });
-  ASSERT_EQ(seeds.size(), 2u);
-  const auto make = [] {
-    Query q;
-    q.local_vars = {"x"};
-    q.patterns = {pat({A("a"), V("x")}), pat({A("b"), V("x")})};
-    return q;
-  };
-  // seed_idx 0 seeds pattern <a,x> from the delta; seed_idx 1 seeds
-  // <b,x> with records that belong to bucket <a,_> — arity matches but
-  // heads don't, so the seeded candidates all fail the head check.
-  EXPECT_TRUE(f.diff_seeded(make, 0, seeds));
-  EXPECT_FALSE(f.diff_seeded(make, 1, seeds));
-}
-
-TEST(VmEquivTest, SeededProbesOnComputedTermsAgree) {
-  DiffFixture f;
-  f.space.insert(tup(3, 33), 0);
-  f.space.insert(tup(4, 44), 0);
-  f.space.insert(tup("a", 1), 0);
-  f.space.insert(tup("a", 2), 0);
-  f.space.insert(tup("b", 3), 0);
-  std::vector<const Record*> seeds;
-  f.space.scan_arity(2, [&seeds](const Record& r) {
-    seeds.push_back(&r);
-    return true;
-  });
-  // Sum1's combine step with k bound: the computed head is ready, so the
-  // seeded pattern (either one) leads.
-  const auto sum1 = [] {
-    Query q;
-    q.local_vars = {"a", "b"};
-    q.patterns = {pat({E(sub(evar("k"), lit(1))), V("a")}),
-                  pat({V("k"), V("b")})};
-    return q;
-  };
-  for (const std::size_t seed_idx : {std::size_t{0}, std::size_t{1}}) {
-    EXPECT_TRUE(f.diff_seeded(sum1, seed_idx, seeds, bind("k", Value(4))));
-    EXPECT_FALSE(f.diff_seeded(sum1, seed_idx, seeds, bind("k", Value(9))));
-  }
-  // [a, x], [b, x+1]: seeding the computed pattern defers it until x is
-  // bound (readiness outranks the seed).
-  const auto dep = [] {
-    Query q;
-    q.local_vars = {"x"};
-    q.patterns = {pat({A("a"), V("x")}),
-                  pat({A("b"), E(add(evar("x"), lit(1)))})};
-    return q;
-  };
-  EXPECT_TRUE(f.diff_seeded(dep, 0, seeds));
-  EXPECT_TRUE(f.diff_seeded(dep, 1, seeds));
-}
-
 TEST(VmEquivTest, PlanCacheInvalidatesOnIndexGrowth) {
   DiffFixture f;
   f.space.insert(tup("g", 0), 0);
@@ -769,19 +680,6 @@ TEST(VmEquivTest, RandomQueriesAgree) {
       }
     }
     if (has_computed) computed_matches += out.matches.size();
-
-    // Seeded probes of the monotone shapes, from a random subset of the
-    // space as the delta.
-    if (q.quantifier != Quantifier::Exists || !q.negations.empty()) continue;
-    std::vector<const Record*> seeds;
-    for (const std::uint32_t arity : {2u, 3u}) {
-      f.space.scan_arity(arity, [&](const Record& r) {
-        if (gen.pick(2) == 0) seeds.push_back(&r);
-        return true;
-      });
-    }
-    f.diff_seeded([&q] { return q; }, gen.pick(static_cast<std::uint32_t>(q.patterns.size())),
-                  seeds, pre);
   }
   // Vacuity guard: the sweep must reach both outcomes and match computed
   // terms.

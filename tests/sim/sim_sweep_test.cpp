@@ -194,25 +194,17 @@ TEST(SimSweepTest, ReadHeavyFallbackSweepStaysSerializable) {
   EXPECT_GT(r.distinct_traces, 1u);
 }
 
-TEST(SimSweepTest, IncrementalWakeupSweepStaysSerializable) {
-  // Incremental wakeup evaluation FORCED on inside the deterministic sim
-  // (force overrides the default gated-off-under-sim matrix), under the
-  // WakeAll ablation so every commit wakes every parked process: a token
-  // ring whose workers park until the token reaches their index (seeded
-  // checks on every token hop — most conclude still-parked), plus noise
-  // writers whose irrelevant commits spuriously wake everyone (the
-  // empty-delta O(1) still-parked proof). 64 schedules must finish the
-  // ring, replay serializably, and tear state accounting down to zero.
-  struct IncTotals {
-    std::uint64_t empty = 0, seeded = 0, created = 0;
-  };
-  auto totals = std::make_shared<IncTotals>();
+TEST(SimSweepTest, DelayedRingUnderWakeAllStaysSerializable) {
+  // Parked delayed transactions under the WakeAll ablation, so every
+  // commit wakes every parked process: a token ring whose workers park
+  // until the token reaches their index (every token hop re-checks every
+  // parked worker; most probes fail and park again), plus noise writers
+  // whose irrelevant commits spuriously wake everyone. 64 schedules must
+  // finish the ring and replay serializably.
   const sim::BuildFn build = [](std::int64_t seed) {
     RuntimeOptions o;
     o.scheduler.deterministic_seed = seed;
     o.wake_policy = WaitSet::WakePolicy::WakeAll;
-    o.incremental.enabled = true;
-    o.incremental.force = true;
     auto rt = std::make_unique<Runtime>(o);
     rt->seed(tup("t", 0));
     ProcessDef w;
@@ -238,7 +230,7 @@ TEST(SimSweepTest, IncrementalWakeupSweepStaysSerializable) {
     rt->enable_history();
     return rt;
   };
-  const sim::CheckFn check = [totals](Runtime& rt, const RunReport& report) {
+  const sim::CheckFn check = [](Runtime& rt, const RunReport& report) {
     if (std::string bad = require_clean(report); !bad.empty()) return bad;
     if (rt.space().count(tup("t", 6)) != 1) return std::string("ring broke");
     for (int k = 0; k < 3; ++k) {
@@ -246,13 +238,9 @@ TEST(SimSweepTest, IncrementalWakeupSweepStaysSerializable) {
         return std::string("noise lost");
       }
     }
-    IncrementalControl* inc = rt.incremental();
-    if (inc == nullptr) return std::string("incremental control missing");
-    if (inc->states_live.load() != 0) return std::string("leaked state");
-    if (inc->state_bytes.load() != 0) return std::string("leaked state bytes");
-    totals->empty += inc->checks_empty.load();
-    totals->seeded += inc->checks_seeded.load();
-    totals->created += inc->states_created.load();
+    if (rt.waits().subscriber_count() != 0) {
+      return std::string("leaked subscription");
+    }
     return std::string();
   };
   sim::SweepOptions opts;
@@ -260,11 +248,6 @@ TEST(SimSweepTest, IncrementalWakeupSweepStaysSerializable) {
   const sim::SweepResult r = sim::sweep_seeds(build, opts, check);
   ASSERT_TRUE(r.ok()) << r.first_failure;
   EXPECT_GT(r.distinct_traces, 1u);
-  // Vacuity guards: the sweep must actually have exercised the
-  // incremental decision paths, not just carried the options along.
-  EXPECT_GT(totals->created, 0u) << "no park ever created retained state";
-  EXPECT_GT(totals->seeded, 0u) << "no wakeup ever ran a seeded check";
-  EXPECT_GT(totals->empty, 0u) << "no wakeup ever used the empty-delta proof";
 }
 
 TEST(SimSweepTest, FailingSweepNamesSeedAndMinimizesSchedule) {

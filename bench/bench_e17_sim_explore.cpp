@@ -6,9 +6,9 @@
 //      second over a contended-counter society, and how many *distinct*
 //      interleavings a block of seeds actually buys (distinct trace
 //      hashes per 1k seeds, reported as a counter).
-//   2. Checker overhead — the same threaded society with history
-//      recording + serializability replay on vs off; the delta is what
-//      `enable_history()` costs a test suite.
+//   2. Checker overhead — the same threaded society with the event log
+//      armed + serializability replay on vs off; the delta is what
+//      `arm_log()` costs a test suite.
 //   3. Exploration rate — schedules per second of the exhaustive DFS on
 //      a small society, with the DPOR-lite pruning ratio as a counter.
 #include <benchmark/benchmark.h>
@@ -41,7 +41,7 @@ sim::BuildFn counter_society(int procs, bool history) {
     rt->seed(tup("c", 0));
     rt->define(incrementer_def());
     for (int i = 0; i < procs; ++i) rt->spawn("Inc");
-    if (history) rt->enable_history();
+    if (history) rt->arm_log();
     return rt;
   };
 }
@@ -95,7 +95,7 @@ void BM_CheckerOverheadThreaded(benchmark::State& state) {
     rt.seed(tup("c", 0));
     rt.define(incrementer_def());
     for (int i = 0; i < kProcs; ++i) rt.spawn("Inc");
-    if (with_checker) rt.enable_history();
+    if (with_checker) rt.arm_log();
     state.ResumeTiming();
 
     const RunReport report = rt.run();

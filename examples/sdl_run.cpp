@@ -2,10 +2,13 @@
 //
 //   ./build/examples/sdl_run examples/sdl/sum3.sdl
 //   ./build/examples/sdl_run --trace examples/sdl/find.sdl
+//   ./build/examples/sdl_run --check examples/sdl/sort.sdl
 //
 // Registers the host functions the paper's examples rely on (neighbor/T,
 // over a 16-wide pixel grid) so the region-labeling scripts run as-is.
-// Prints the final dataspace and the run report.
+// Prints the final dataspace and the run report. --check also runs the
+// static analyzer before the run and the serializability checker over the
+// run's event log after it.
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -44,9 +47,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  RuntimeOptions options;
-  options.tracing = trace || timeline || html_path != nullptr;
-  Runtime rt(options);
+  Runtime rt;
+  if (trace || timeline || check || html_path != nullptr) rt.arm_log();
 
   constexpr std::int64_t kGridWidth = 16;
   rt.functions().register_function("neighbor", [](std::span<const Value> a) -> Value {
@@ -94,12 +96,12 @@ int main(int argc, char** argv) {
   for (const std::string& p : report.parked) std::cout << "    " << p << "\n";
   for (const std::string& e : report.errors) std::cout << "  error: " << e << "\n";
   if (trace) {
-    std::cout << "-- trace (" << rt.trace().total_recorded() << " events) --\n";
-    rt.trace().dump_text(std::cout);
+    std::cout << "-- trace (" << rt.event_log()->size() << " events) --\n";
+    rt.event_log()->dump_text(std::cout);
   }
   if (timeline) {
     std::cout << "-- timeline --\n";
-    render_ascii(summarize(rt.trace().events()), std::cout);
+    render_ascii(summarize(rt.event_log()->events()), std::cout);
   }
   if (stats) {
     std::cout << "-- stats --\n" << rt.stats().to_string();
@@ -115,8 +117,17 @@ int main(int argc, char** argv) {
       std::cerr << "cannot write " << html_path << "\n";
       return 1;
     }
-    render_html(summarize(rt.trace().events()), out);
+    render_html(summarize(rt.event_log()->events()), out);
     std::cout << "timeline written to " << html_path << "\n";
+  }
+  if (check) {
+    const CheckReport serial = rt.check_history();
+    if (!serial.ok()) {
+      std::cout << "not serializable: " << serial.to_string() << "\n";
+      return 1;
+    }
+    std::cout << "serializable: " << serial.commits_checked
+              << " commits checked\n";
   }
   return report.clean() ? 0 : 1;
 }

@@ -32,30 +32,36 @@ std::string CheckReport::to_string() const {
 
 namespace {
 
-std::string entry_tag(const HistoryEntry& e) {
-  std::string t = "pid " + std::to_string(e.owner);
+std::string entry_tag(const Event& e) {
+  std::string t = "pid " + std::to_string(e.pid);
   if (!e.label.empty()) t += " (" + e.label + ")";
   return t;
 }
 
 }  // namespace
 
-CheckReport check_history(const std::vector<TupleId>& initial,
-                          std::vector<HistoryEntry> entries,
+CheckReport check_history(std::vector<TupleId> initial,
+                          std::vector<Event> events,
                           const std::vector<TupleId>& final_ids) {
   CheckReport report;
+  std::vector<Event> entries;
+  for (Event& e : events) {
+    if (e.kind == EventKind::Commit) {
+      entries.push_back(std::move(e));
+    } else if (e.kind == EventKind::Seed) {
+      initial.insert(initial.end(), e.asserts.begin(), e.asserts.end());
+    }
+  }
   report.commits_checked = entries.size();
   std::sort(entries.begin(), entries.end(),
-            [](const HistoryEntry& a, const HistoryEntry& b) {
-              return a.seq < b.seq;
-            });
+            [](const Event& a, const Event& b) { return a.seq < b.seq; });
 
   // Pre-passes: where each id is asserted (classifies a failed read as
   // dirty vs unknown) and how many entries each consensus fire has (the
   // contiguity check needs the total).
   std::unordered_map<TupleId, std::uint64_t> assert_seq;
   std::unordered_map<std::uint64_t, std::size_t> fire_sizes;
-  for (const HistoryEntry& e : entries) {
+  for (const Event& e : entries) {
     for (TupleId id : e.asserts) {
       // First assert wins; a duplicate is reported during replay.
       assert_seq.emplace(id, e.seq);
@@ -72,7 +78,7 @@ CheckReport check_history(const std::vector<TupleId>& initial,
     report.violations.push_back({kind, seq, std::move(detail)});
   };
 
-  auto check_read = [&](const HistoryEntry& e, TupleId id) {
+  auto check_read = [&](const Event& e, TupleId id) {
     if (model.count(id) != 0) return;
     auto rit = retracted_at.find(id);
     if (rit != retracted_at.end()) {
@@ -118,7 +124,7 @@ CheckReport check_history(const std::vector<TupleId>& initial,
     }
     std::unordered_set<TupleId> group_retracted;
     for (std::size_t k = i; k < j; ++k) {
-      const HistoryEntry& e = entries[k];
+      const Event& e = entries[k];
       for (TupleId id : e.retracts) {
         if (!group_retracted.insert(id).second) continue;  // composite dedupe
         if (model.erase(id) != 0) {
@@ -138,7 +144,7 @@ CheckReport check_history(const std::vector<TupleId>& initial,
       }
     }
     for (std::size_t k = i; k < j; ++k) {
-      const HistoryEntry& e = entries[k];
+      const Event& e = entries[k];
       for (TupleId id : e.asserts) {
         if (!ever_existed.insert(id).second) {
           flag(HistoryViolation::Kind::DuplicateAssert, e.seq,
@@ -184,11 +190,10 @@ CheckReport check_history(const std::vector<TupleId>& initial,
   return report;
 }
 
-CheckReport check_serializability(const HistoryRecorder& history,
-                                  const Dataspace& space) {
+CheckReport check_serializability(const EventLog& log, const Dataspace& space) {
   std::vector<TupleId> final_ids;
   for (const Record& r : space.snapshot()) final_ids.push_back(r.id);
-  return check_history(history.initial(), history.entries(), final_ids);
+  return check_history(log.initial(), log.events(), final_ids);
 }
 
 }  // namespace sdl

@@ -1,9 +1,10 @@
 // The serializability checker (ISSUE 3 tentpole, part 2).
 //
-// Replays a recorded commit history, in sequence order, against a
-// single-threaded reference model of the dataspace (a set of live
-// instance ids seeded from the initial snapshot) and verifies that every
-// observation is explained by that serial execution:
+// Replays the Commit events of a recorded event log (trace/event_log.hpp),
+// in sequence order, against a single-threaded reference model of the
+// dataspace (a set of live instance ids seeded from the initial snapshot
+// and the environment's seeds) and verifies that every observation is
+// explained by that serial execution:
 //
 //   * a commit reads an instance the serial order says was already
 //     retracted            → lost update
@@ -11,12 +12,12 @@
 //     never existed)       → dirty read / broken witness order
 //   * a commit retracts an instance already gone → double retract
 //   * a commit creates an id that already exists → duplicate assert
-//   * entries of one consensus fire are not contiguous in the witness
+//   * commits of one consensus fire are not contiguous in the witness
 //     order                → broken consensus atomicity
 //   * the model's final state differs from the real dataspace
 //                          → final-state divergence (a torn or lost commit)
 //
-// Entries sharing a nonzero consensus_fire are replayed as ONE atomic
+// Commits sharing a nonzero consensus_fire are replayed as ONE atomic
 // composite: all reads against the common pre-state, then all
 // retractions (deduped, §2.2's composite rule), then all additions.
 #pragma once
@@ -25,7 +26,8 @@
 #include <string>
 #include <vector>
 
-#include "check/history.hpp"
+#include "space/dataspace.hpp"
+#include "trace/event_log.hpp"
 
 namespace sdl {
 
@@ -53,16 +55,16 @@ struct CheckReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Pure replay — unit-testable without a runtime. `entries` may be in any
-/// order (replayed by seq); `final_ids` is the real dataspace's live ids
-/// after the run.
-CheckReport check_history(const std::vector<TupleId>& initial,
-                          std::vector<HistoryEntry> entries,
+/// Pure replay — unit-testable without a runtime. `events` may be in any
+/// order (Commit events are replayed by seq; Seed events extend the
+/// initial state; lifecycle events are ignored); `final_ids` is the real
+/// dataspace's live ids after the run.
+CheckReport check_history(std::vector<TupleId> initial,
+                          std::vector<Event> events,
                           const std::vector<TupleId>& final_ids);
 
-/// Convenience over a recorder and the live dataspace. Call while
-/// quiescent (after run()); snapshots `space` for the final-state check.
-CheckReport check_serializability(const HistoryRecorder& history,
-                                  const Dataspace& space);
+/// Convenience over a log and the live dataspace. Call while quiescent
+/// (after run()); snapshots `space` for the final-state check.
+CheckReport check_serializability(const EventLog& log, const Dataspace& space);
 
 }  // namespace sdl

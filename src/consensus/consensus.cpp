@@ -368,20 +368,22 @@ bool ConsensusManager::sweep_once() {
             }
           }
         }
-        // History: every member's entry carries the same nonzero fire
-        // ordinal, and all entries are sequenced here under exclusive() —
-        // the checker replays them as one atomic composite and verifies
-        // they stayed contiguous in the witness order. Per-member retract
-        // sets record the member's *intent*; the composite dedupe is the
-        // checker's to reapply.
-        HistoryRecorder* history = engine_.history();
-        if (history != nullptr && !history->enabled()) history = nullptr;
+        // Event log: every member's commit carries the same nonzero fire
+        // ordinal and the whole fire is appended as one contiguous block
+        // under exclusive() — before any member resumes, so none of their
+        // later events can land inside it. The checker replays the block
+        // as one atomic composite. Per-member retract sets record the
+        // member's *intent*; the composite dedupe is the checker's to
+        // reapply.
+        EventLog* log = engine_.event_log();
         const std::uint64_t fire_id =
             fires_.load(std::memory_order_relaxed) + 1;
+        std::vector<TxnResult> results(plans.size());
+        std::vector<Event> fire_events;
         for (std::size_t pi = 0; pi < plans.size(); ++pi) {
           MemberPlan& plan = plans[pi];
           Process* p = plan.node->p;
-          TxnResult result;
+          TxnResult& result = results[pi];
           result.success = true;
           for (Tuple& t : to_insert[pi]) {
             const IndexKey key = IndexKey::of(t);
@@ -392,26 +394,32 @@ bool ConsensusManager::sweep_once() {
             if (wal != nullptr) durable.asserts.emplace_back(id, std::move(wal_copy));
             touched.push_back(key);
           }
-          if (history != nullptr) {
-            std::vector<TupleId> reads;
-            std::vector<TupleId> member_retracts;
+          if (log != nullptr) {
+            Event e;
+            e.pid = p->pid;
+            e.label = plan.txn->to_string();
+            e.consensus_fire = fire_id;
+            e.asserts = result.asserted;
             for (const QueryMatch& m : plan.outcome.matches) {
-              reads.insert(reads.end(), m.reads.begin(), m.reads.end());
+              e.reads.insert(e.reads.end(), m.reads.begin(), m.reads.end());
               for (const auto& [key, id] : m.retract) {
                 (void)key;
-                member_retracts.push_back(id);
+                e.retracts.push_back(id);
               }
             }
-            history->record_commit(p->pid, fire_id, std::move(reads),
-                                   std::move(member_retracts), result.asserted,
-                                   plan.txn->to_string());
+            fire_events.push_back(std::move(e));
           }
           result.matches = std::move(plan.outcome.matches);
+        }
+        if (log != nullptr) log->record_fire(std::move(fire_events));
 
-          // ---- 7. Resume the member with its result. ----
+        // ---- 7. Resume every member with its result. ----
+        for (std::size_t pi = 0; pi < plans.size(); ++pi) {
+          Process* p = plans[pi].node->p;
           {
             std::scoped_lock state_lock(p->state_mutex);
-            p->consensus_result = ConsensusResult{plan.branch, std::move(result)};
+            p->consensus_result =
+                ConsensusResult{plans[pi].branch, std::move(results[pi])};
             p->state = RunState::Ready;
             p->pending_wake = false;
           }

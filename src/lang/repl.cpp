@@ -29,16 +29,16 @@ constexpr const char* kHelp =
     "  :dump                print the dataspace\n"
     "  :checkpoint          print the dataspace as a reloadable init{} block\n"
     "  :stats               runtime counters\n"
-    "  :timeline            ASCII timeline of the traced run\n"
+    "  :timeline            ASCII timeline of the traced run (events since\n"
+    "                       the last :run started)\n"
     "  :help                this text\n"
     "  :quit                leave\n";
 
 }  // namespace
 
-ReplSession::ReplSession(RuntimeOptions options) : runtime_([&options] {
-      options.tracing = true;  // the REPL is a debugging surface
-      return options;
-    }()) {}
+ReplSession::ReplSession(RuntimeOptions options) : runtime_(options) {
+  runtime_.arm_log();  // the REPL is a debugging surface
+}
 
 std::string ReplSession::eval(const std::string& line) {
   const std::size_t begin = line.find_first_not_of(" \t");
@@ -70,6 +70,9 @@ std::string ReplSession::eval_command(const std::string& line) {
       return "spawned " + p.spawns[0].first + "#" + std::to_string(pid);
     }
     if (cmd == "run") {
+      // Each run starts a fresh log: :timeline shows the traced run, and
+      // the log's memory stays bounded by one run.
+      runtime_.arm_log();
       const RunReport report = runtime_.run();
       std::ostringstream os;
       os << "quiescent: " << report.completed << " completed, "
@@ -90,7 +93,7 @@ std::string ReplSession::eval_command(const std::string& line) {
     if (cmd == "stats") return runtime_.stats().to_string();
     if (cmd == "timeline") {
       std::ostringstream os;
-      render_ascii(summarize(runtime_.trace().events()), os);
+      render_ascii(summarize(runtime_.event_log()->events()), os);
       return os.str();
     }
     return "error: unknown command :" + cmd + " (:help lists commands)";

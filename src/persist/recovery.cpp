@@ -200,15 +200,15 @@ void apply(Dataspace& space, const RecoveredState& state) {
 }
 
 CheckReport verify_recovery(const RecoveredState& state) {
-  std::vector<HistoryEntry> entries;
+  std::vector<Event> entries;
   entries.reserve(state.commits.size());
   for (const WalCommit& c : state.commits) {
     // Watermark markers are metadata, not commits: no reads, no effects —
     // nothing for the serializability checker to validate.
     if (c.repl_mark != 0) continue;
-    HistoryEntry e;
+    Event e;
     e.seq = c.seq;
-    e.owner = c.owner;
+    e.pid = c.owner;
     e.consensus_fire = c.fire;
     // The WAL stores the effect set, not the read set; every retracted
     // instance was necessarily read, which is exactly the dependency the

@@ -7,7 +7,7 @@
 // sequence number under its own mutex inside that critical section, so:
 //   * conflicting commits hold a common shard lock across the append —
 //     their WAL order IS their serialization order (a valid witness, the
-//     same lock-held discipline src/check/history uses);
+//     same lock-held discipline the event log uses);
 //   * file order equals sequence order, so a torn tail is exactly a
 //     sequence-prefix: recovery that truncates at the first corrupt record
 //     recovers a serially-consistent prefix by construction.
@@ -64,7 +64,7 @@ namespace sdl::persist {
 
 /// One committed transaction as the WAL stores it. `fire` groups the
 /// members of a consensus composite into one atomic record (0 = an
-/// independent commit, matching HistoryEntry::consensus_fire).
+/// independent commit, matching Event::consensus_fire).
 ///
 /// `repl_mark` != 0 marks a REPLICATION WATERMARK record instead of a
 /// commit: a follower appends one right after re-logging an applied

@@ -1,5 +1,6 @@
 #include "process/runtime.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "query/compile.hpp"
@@ -10,9 +11,7 @@ namespace sdl {
 Runtime::Runtime(RuntimeOptions options)
     : options_(options),
       space_(options.shards),
-      waits_(options.wake_policy),
-      trace_(options.trace_capacity) {
-  trace_.set_enabled(options.tracing);
+      waits_(options.wake_policy) {
   // Stamp the replication node id into the WAL segment headers this node
   // writes, so shipped segments carry their origin.
   if (options_.repl.enabled() && options_.persist.node_id == 0) {
@@ -26,7 +25,6 @@ Runtime::Runtime(RuntimeOptions options)
   scheduler_ = std::make_unique<Scheduler>(*engine_, options_.scheduler);
   consensus_ = std::make_unique<ConsensusManager>(*engine_, *scheduler_);
   scheduler_->set_consensus_manager(consensus_.get());
-  if (options_.tracing) scheduler_->set_trace(&trace_);
   // Observability: instruments are always wired (the registry owns them),
   // but record only while obs::enabled() — components re-check the flag
   // once per operation, so the disabled cost is one pointer + one relaxed
@@ -231,23 +229,33 @@ void Runtime::disable_faults() {
   faults_.reset();
 }
 
-HistoryRecorder& Runtime::enable_history() {
-  if (!history_) history_ = std::make_unique<HistoryRecorder>();
-  history_->reset(space_);
-  history_->set_enabled(true);
-  engine_->set_history(history_.get());
-  return *history_;
+EventLog& Runtime::arm_log() {
+  if (!log_) log_ = std::make_unique<EventLog>();
+  std::vector<TupleId> initial;
+  for (const Record& r : space_.snapshot()) initial.push_back(r.id);
+  log_->reset(std::move(initial));
+  // The society at arm time opens its lanes, so a re-armed log still
+  // names the processes a later run() drives.
+  std::vector<std::pair<ProcessId, std::string>> live;
+  scheduler_->with_live([&](const std::vector<Process*>& procs) {
+    for (const Process* p : procs) live.emplace_back(p->pid, p->def.name);
+  });
+  std::sort(live.begin(), live.end());
+  for (auto& [pid, name] : live) {
+    log_->record(EventKind::Spawn, pid, std::move(name));
+  }
+  engine_->set_event_log(log_.get());
+  return *log_;
 }
 
-void Runtime::disable_history() {
-  if (!history_) return;
-  engine_->set_history(nullptr);
-  history_.reset();
+void Runtime::disarm_log() {
+  engine_->set_event_log(nullptr);
+  log_.reset();
 }
 
 CheckReport Runtime::check_history() const {
-  if (!history_) return {};
-  return check_serializability(*history_, space_);
+  if (!log_) return {};
+  return check_serializability(*log_, space_);
 }
 
 TupleId Runtime::seed(Tuple t) {
@@ -258,6 +266,8 @@ TupleId Runtime::seed(Tuple t) {
   }
   TupleId id;
   const IndexKey key = IndexKey::of(t);
+  std::string label;
+  if (log_) label = t.to_string();
   engine_->exclusive([&]() -> std::vector<IndexKey> {
     Tuple wal_copy;
     if (persist_mgr_) wal_copy = t;
@@ -270,8 +280,14 @@ TupleId Runtime::seed(Tuple t) {
     }
     return {key};
   });
-  if (history_ && history_->enabled()) history_->record_seed(id);
-  if (trace_.enabled()) trace_.record(TraceKind::SeedTuple, 0, "");
+  if (log_) {
+    Event e;
+    e.kind = EventKind::Seed;
+    e.pid = kEnvironmentProcess;
+    e.label = std::move(label);
+    e.asserts.push_back(id);
+    log_->record(std::move(e));
+  }
   // Seeds count toward the snapshot interval like any other commit, but
   // bypass the engine's post-commit hook — check here.
   if (persist_mgr_ && persist_mgr_->snapshot_due()) snapshot();

@@ -1,5 +1,5 @@
 // The SDL runtime: one object wiring together the dataspace, an engine,
-// the wait set, the scheduler, the consensus manager and tracing — the
+// the wait set, the scheduler, the consensus manager and the event log — the
 // "language implementation" the paper's §3.1 alludes to when it says the
 // replication style "requires a sophisticated language implementation".
 //
@@ -32,8 +32,6 @@ struct RuntimeOptions {
   EngineKind engine = EngineKind::Sharded;
   WaitSet::WakePolicy wake_policy = WaitSet::WakePolicy::Targeted;
   SchedulerOptions scheduler;
-  bool tracing = false;
-  std::size_t trace_capacity = 65536;
   /// Durability (WAL + snapshots + crash recovery). Off unless
   /// persist.dir is set; when on, the constructor recovers any committed
   /// state already in the directory into the dataspace before the first
@@ -92,16 +90,21 @@ class Runtime {
   /// Null when faults are disabled.
   [[nodiscard]] FaultInjector* faults() { return faults_.get(); }
 
-  /// Starts commit-history recording for the serializability checker: the
-  /// recorder snapshots the current dataspace as the initial state and
-  /// every subsequent commit (engine and consensus) is logged with its
-  /// read/retract/assert instance sets. Call while quiescent.
-  HistoryRecorder& enable_history();
-  void disable_history();
-  /// Null when history recording is disabled.
-  [[nodiscard]] HistoryRecorder* history() { return history_.get(); }
-  /// Replays the recorded history against the reference model and the
-  /// current dataspace. Call while quiescent (after run()).
+  /// Arms (or re-arms, forgetting every earlier event) the run's event
+  /// log: it snapshots the current dataspace as the initial state and
+  /// records one Spawn event per live process, then logs every commit
+  /// (engine, consensus and host execute()) with its read/retract/assert
+  /// instance sets, every seed, and every spawn, park, wake and
+  /// termination. While armed, read-only transactions take the locked
+  /// path (the commit witness is a lock-held sequence number) and the log
+  /// grows without bound. Call while quiescent.
+  EventLog& arm_log();
+  void disarm_log();
+  /// Null when the log is disarmed.
+  [[nodiscard]] EventLog* event_log() { return log_.get(); }
+  /// Replays the logged commits against the reference model and the
+  /// current dataspace (an empty report when disarmed). Call while
+  /// quiescent (after run()).
   [[nodiscard]] CheckReport check_history() const;
 
   /// Executes one transaction on behalf of the environment (blocking for
@@ -191,7 +194,6 @@ class Runtime {
   [[nodiscard]] WaitSet& waits() { return waits_; }
   [[nodiscard]] Scheduler& scheduler() { return *scheduler_; }
   [[nodiscard]] ConsensusManager& consensus() { return *consensus_; }
-  [[nodiscard]] TraceRecorder& trace() { return trace_; }
   [[nodiscard]] const RuntimeOptions& options() const { return options_; }
 
  private:
@@ -213,12 +215,11 @@ class Runtime {
   std::unique_ptr<control::OverloadControl> overload_;
   Dataspace space_;
   WaitSet waits_;
-  TraceRecorder trace_;
   std::unique_ptr<Engine> engine_;
   std::unique_ptr<Scheduler> scheduler_;
   std::unique_ptr<ConsensusManager> consensus_;
   std::unique_ptr<FaultInjector> faults_;
-  std::unique_ptr<HistoryRecorder> history_;
+  std::unique_ptr<EventLog> log_;
   std::unique_ptr<persist::PersistManager> persist_mgr_;
   // Declared after persist_mgr_: the leader registers a durable listener
   // with the WAL and must detach it (its destructor does) before the

@@ -140,8 +140,8 @@ ProcessId Scheduler::spawn(const std::string& def_name, std::vector<Value> args)
     society_.emplace(pid, std::make_unique<Process>(pid, *def, std::move(args)));
   }
   spawned_.fetch_add(1, std::memory_order_relaxed);
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->record(TraceKind::Spawn, pid, def_name);
+  if (EventLog* log = engine_.event_log()) {
+    log->record(EventKind::Spawn, pid, def_name);
   }
   enqueue_new(pid);
   return pid;
@@ -156,6 +156,9 @@ ProcessId Scheduler::spawn_replicant(
     society_.emplace(pid, std::make_unique<Process>(pid, parent, group));
   }
   spawned_.fetch_add(1, std::memory_order_relaxed);
+  if (EventLog* log = engine_.event_log()) {
+    log->record(EventKind::Spawn, pid, parent.def.name);
+  }
   return pid;
 }
 
@@ -217,8 +220,8 @@ void Scheduler::wake(ProcessId pid) {
     }
   }
   if (enqueue) {
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->record(TraceKind::Wake, pid, p.def.name);
+    if (EventLog* log = engine_.event_log()) {
+      log->record(EventKind::Wake, pid, p.def.name);
     }
     enqueue_new(pid);
   }
@@ -417,8 +420,8 @@ void Scheduler::retire(Process& p, RetireKind kind, std::string note) {
   //    because wake() checks the society, but the subscription itself
   //    would leak forever).
   drop_subscription(p);
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->record(TraceKind::Terminate, p.pid, p.def.name);
+  if (EventLog* log = engine_.event_log()) {
+    log->record(EventKind::Terminate, p.pid, p.def.name);
   }
   // 2. Withdraw consensus offers under the state lock: a concurrently
   //    sweeping consensus manager either observes the process still
@@ -590,8 +593,8 @@ void Scheduler::expire_deadlines(std::chrono::steady_clock::time_point now) {
   // not be (it is part of the deterministic-mode schedule).
   std::sort(expired.begin(), expired.end());
   for (ProcessId pid : expired) {
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->record(TraceKind::Wake, pid, "deadline");
+    if (EventLog* log = engine_.event_log()) {
+      log->record(EventKind::Wake, pid, "deadline");
     }
     enqueue_new(pid);
   }
@@ -1047,8 +1050,8 @@ void Scheduler::dispatch_one(ProcessId pid) {
       // The interpreter stored the reason in p->park_reason before
       // returning; finalize_park re-checks pending wakes.
       if (finalize_park(*p, p->park_reason)) {
-        if (trace_ != nullptr && trace_->enabled()) {
-          trace_->record(TraceKind::Park, pid, p->def.name);
+        if (EventLog* log = engine_.event_log()) {
+          log->record(EventKind::Park, pid, p->def.name);
         }
         notify_consensus();
         work_finished();
@@ -1169,9 +1172,6 @@ TxnResult Scheduler::execute_engine(Process& p, const Transaction& txn) {
     // Successes refill the retry budget — goodput is what makes retries
     // affordable (Finagle-style ratio budget).
     if (overload_ != nullptr) overload_->deposit();
-    if (trace_ != nullptr && trace_->enabled()) {
-      trace_->record(TraceKind::Commit, p.pid, txn.to_string());
-    }
   }
   return r;
 }

@@ -30,7 +30,6 @@
 
 #include "process/process.hpp"
 #include "sim/decision.hpp"
-#include "trace/trace.hpp"
 
 namespace sdl {
 
@@ -114,7 +113,6 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   void set_consensus_manager(ConsensusManager* mgr) { consensus_ = mgr; }
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
   /// Arms the SchedulerDispatch injection point and the jittered backoff
   /// source for transient-commit retries (null disables).
   void set_fault_injector(FaultInjector* f) { faults_ = f; }
@@ -306,7 +304,6 @@ class Scheduler {
   Engine& engine_;
   SchedulerOptions options_;
   ConsensusManager* consensus_ = nullptr;
-  TraceRecorder* trace_ = nullptr;
   FaultInjector* faults_ = nullptr;
   control::OverloadControl* overload_ = nullptr;
   obs::RuntimeMetrics* metrics_ = nullptr;

@@ -11,7 +11,7 @@
 //     o.scheduler.deterministic_seed = seed;
 //     auto rt = std::make_unique<Runtime>(o);
 //     ... define/seed/spawn ...
-//     rt->enable_history();
+//     rt->arm_log();
 //     return rt;
 //   };
 //   SweepResult r = sweep_seeds(build, {.seeds = 64});
@@ -31,7 +31,7 @@ namespace sdl::sim {
 
 /// Builds a fresh runtime and society for one deterministic run. MUST set
 /// `scheduler.deterministic_seed = seed` in the options and should call
-/// enable_history() when serializability checking is wanted.
+/// arm_log() when serializability checking is wanted.
 using BuildFn = std::function<std::unique_ptr<Runtime>(std::int64_t seed)>;
 
 /// Program-level invariant checked after each run. Returns an empty string
@@ -42,7 +42,7 @@ struct SweepOptions {
   std::size_t seeds = 64;
   std::uint64_t first_seed = 0;
   /// Run the serializability checker after every run (no-op unless the
-  /// builder called enable_history()).
+  /// builder called arm_log()).
   bool check_serializability = true;
   /// On the first failure, shrink the recorded schedule to a minimal
   /// failing decision prefix (replayed with default continuation).

@@ -8,78 +8,90 @@ namespace sdl {
 namespace {
 
 /// Rendering priority when several events share a column: show the most
-/// informative one.
-int glyph_priority(TraceKind k) {
-  switch (k) {
-    case TraceKind::Terminate: return 6;
-    case TraceKind::Consensus: return 5;
-    case TraceKind::Spawn: return 4;
-    case TraceKind::Commit: return 3;
-    case TraceKind::Park: return 2;
-    case TraceKind::Wake: return 1;
-    case TraceKind::SeedTuple: return 0;
+/// informative one. A consensus commit outranks the member's termination
+/// that usually follows it (the lane's end still shows where it stops).
+int glyph_priority(const TimelineMark& m) {
+  switch (m.kind) {
+    case EventKind::Terminate: return 5;
+    case EventKind::Spawn: return 4;
+    case EventKind::Commit: return m.consensus_fire != 0 ? 6 : 3;
+    case EventKind::Park: return 2;
+    case EventKind::Wake: return 1;
+    case EventKind::Seed: return 0;
   }
   return 0;
 }
 
-char glyph(TraceKind k) {
-  switch (k) {
-    case TraceKind::Spawn: return 'S';
-    case TraceKind::Commit: return 'C';
-    case TraceKind::Park: return 'P';
-    case TraceKind::Wake: return 'w';
-    case TraceKind::Consensus: return '@';
-    case TraceKind::Terminate: return 'T';
-    case TraceKind::SeedTuple: return '+';
+const char* mark_name(const TimelineMark& m) {
+  return m.consensus_fire != 0 ? "consensus" : to_string(m.kind);
+}
+
+char glyph(const TimelineMark& m) {
+  switch (m.kind) {
+    case EventKind::Spawn: return 'S';
+    case EventKind::Commit: return m.consensus_fire != 0 ? '@' : 'C';
+    case EventKind::Park: return 'P';
+    case EventKind::Wake: return 'w';
+    case EventKind::Terminate: return 'T';
+    case EventKind::Seed: return '+';
   }
   return '?';
 }
 
 }  // namespace
 
-TimelineSummary summarize(const std::vector<TraceEvent>& events) {
+TimelineSummary summarize(const std::vector<Event>& events) {
   TimelineSummary summary;
   if (events.empty()) return summary;
-  summary.first_sequence = events.front().sequence;
-  summary.last_sequence = events.back().sequence;
+  summary.first_sequence = events.front().seq;
+  summary.last_sequence = events.back().seq;
   summary.total_events = events.size();
 
   std::unordered_map<ProcessId, std::size_t> index;
-  auto row_for = [&](const TraceEvent& ev) -> ProcessTimeline& {
+  auto row_for = [&](const Event& ev) -> ProcessTimeline& {
     auto it = index.find(ev.pid);
     if (it == index.end()) {
       it = index.emplace(ev.pid, summary.processes.size()).first;
       ProcessTimeline tl;
       tl.pid = ev.pid;
-      tl.name = ev.detail.empty() ? ("pid" + std::to_string(ev.pid)) : ev.detail;
-      tl.spawned_at = ev.sequence;
+      tl.name = ev.label.empty() ? ("pid" + std::to_string(ev.pid)) : ev.label;
+      tl.spawned_at = ev.seq;
       summary.processes.push_back(std::move(tl));
     }
     return summary.processes[it->second];
   };
 
-  for (const TraceEvent& ev : events) {
-    if (ev.kind == TraceKind::SeedTuple) {
+  // A fire's commits are one contiguous block, so each new nonzero
+  // ordinal is one more fire.
+  std::uint64_t last_fire = 0;
+  for (const Event& ev : events) {
+    if (ev.kind == EventKind::Seed) {
       ++summary.seeds;
       continue;
     }
-    if (ev.kind == TraceKind::Consensus) ++summary.consensus_fires;
+    if (ev.kind == EventKind::Commit && ev.pid == kEnvironmentProcess) {
+      ++summary.host_commits;
+      continue;
+    }
+    if (ev.consensus_fire != 0 && ev.consensus_fire != last_fire) {
+      ++summary.consensus_fires;
+      last_fire = ev.consensus_fire;
+    }
     ProcessTimeline& row = row_for(ev);
-    row.events.emplace_back(ev.sequence, ev.kind);
+    row.events.push_back({ev.seq, ev.kind, ev.consensus_fire});
     switch (ev.kind) {
-      case TraceKind::Spawn:
-        row.spawned_at = ev.sequence;
-        if (!ev.detail.empty()) row.name = ev.detail;
+      case EventKind::Spawn:
+        row.spawned_at = ev.seq;
+        if (!ev.label.empty()) row.name = ev.label;
         break;
-      case TraceKind::Commit: ++row.commits; break;
-      case TraceKind::Park: ++row.parks; break;
-      case TraceKind::Wake: ++row.wakes; break;
-      case TraceKind::Terminate:
+      case EventKind::Commit: ++row.commits; break;
+      case EventKind::Park: ++row.parks; break;
+      case EventKind::Wake: ++row.wakes; break;
+      case EventKind::Terminate:
         row.terminated = true;
-        row.terminated_at = ev.sequence;
+        row.terminated_at = ev.seq;
         break;
-      case TraceKind::Consensus:
-      case TraceKind::SeedTuple:
+      case EventKind::Seed:
         break;
     }
   }
@@ -108,6 +120,9 @@ void render_ascii(const TimelineSummary& summary, std::ostream& os, int width) {
   if (summary.consensus_fires > 0) {
     os << ", " << summary.consensus_fires << " consensus fires";
   }
+  if (summary.host_commits > 0) {
+    os << ", " << summary.host_commits << " host commits";
+  }
   os << "\n";
 
   for (const ProcessTimeline& row : summary.processes) {
@@ -119,13 +134,13 @@ void render_ascii(const TimelineSummary& summary, std::ostream& os, int width) {
       lane[static_cast<std::size_t>(c)] = '-';
     }
     std::vector<int> priority(static_cast<std::size_t>(width), -1);
-    for (const auto& [seq, kind] : row.events) {
-      const int c = column(seq);
+    for (const TimelineMark& mark : row.events) {
+      const int c = column(mark.seq);
       if (c < 0 || c >= width) continue;
-      const int p = glyph_priority(kind);
+      const int p = glyph_priority(mark);
       if (p > priority[static_cast<std::size_t>(c)]) {
         priority[static_cast<std::size_t>(c)] = p;
-        lane[static_cast<std::size_t>(c)] = glyph(kind);
+        lane[static_cast<std::size_t>(c)] = glyph(mark);
       }
     }
     std::string label = row.name + "#" + std::to_string(row.pid);
@@ -151,15 +166,15 @@ void html_escape(std::ostream& os, const std::string& s) {
   }
 }
 
-const char* event_color(TraceKind k) {
-  switch (k) {
-    case TraceKind::Spawn: return "#2b8a3e";      // green
-    case TraceKind::Commit: return "#1971c2";     // blue
-    case TraceKind::Park: return "#e8590c";       // orange
-    case TraceKind::Wake: return "#f59f00";       // amber
-    case TraceKind::Consensus: return "#9c36b5";  // purple
-    case TraceKind::Terminate: return "#495057";  // gray
-    case TraceKind::SeedTuple: return "#868e96";
+const char* event_color(const TimelineMark& m) {
+  switch (m.kind) {
+    case EventKind::Spawn: return "#2b8a3e";  // green
+    case EventKind::Commit:
+      return m.consensus_fire != 0 ? "#9c36b5" : "#1971c2";  // purple : blue
+    case EventKind::Park: return "#e8590c";       // orange
+    case EventKind::Wake: return "#f59f00";       // amber
+    case EventKind::Terminate: return "#495057";  // gray
+    case EventKind::Seed: return "#868e96";
   }
   return "#000";
 }
@@ -197,15 +212,18 @@ void render_html(const TimelineSummary& summary, std::ostream& os) {
     os << ", " << summary.consensus_fires << " consensus fires";
   }
   if (summary.seeds > 0) os << ", " << summary.seeds << " seeded tuples";
+  if (summary.host_commits > 0) {
+    os << ", " << summary.host_commits << " host commits";
+  }
   os << "</p>\n<p class=\"legend\">";
-  const std::pair<TraceKind, const char*> legend[] = {
-      {TraceKind::Spawn, "spawn"},   {TraceKind::Commit, "commit"},
-      {TraceKind::Park, "park"},     {TraceKind::Wake, "wake"},
-      {TraceKind::Consensus, "consensus"}, {TraceKind::Terminate, "terminate"},
+  const TimelineMark legend[] = {
+      {0, EventKind::Spawn, 0}, {0, EventKind::Commit, 0},
+      {0, EventKind::Park, 0},  {0, EventKind::Wake, 0},
+      {0, EventKind::Commit, 1}, {0, EventKind::Terminate, 0},
   };
-  for (const auto& [kind, name] : legend) {
-    os << "<span><span class=\"dot\" style=\"background:" << event_color(kind)
-       << "\"></span>" << name << "</span>";
+  for (const TimelineMark& mark : legend) {
+    os << "<span><span class=\"dot\" style=\"background:" << event_color(mark)
+       << "\"></span>" << mark_name(mark) << "</span>";
   }
   os << "</p>\n";
 
@@ -225,10 +243,10 @@ void render_html(const TimelineSummary& summary, std::ostream& os) {
     os << "<rect x=\"" << x0 << "\" y=\"" << mid - 2 << "\" width=\""
        << std::max(1.0, x1 - x0) << "\" height=\"4\" fill=\"#dee2e6\"/>\n";
     // Event ticks with hover titles.
-    for (const auto& [seq, kind] : row.events) {
-      os << "<rect x=\"" << x_of(seq) - 1.5 << "\" y=\"" << mid - 6
-         << "\" width=\"3\" height=\"12\" fill=\"" << event_color(kind)
-         << "\"><title>#" << seq << " " << to_string(kind) << " "
+    for (const TimelineMark& mark : row.events) {
+      os << "<rect x=\"" << x_of(mark.seq) - 1.5 << "\" y=\"" << mid - 6
+         << "\" width=\"3\" height=\"12\" fill=\"" << event_color(mark)
+         << "\"><title>#" << mark.seq << " " << mark_name(mark)
          << "</title></rect>\n";
     }
     ++lane;

@@ -55,21 +55,22 @@ WaitSet::Interest Engine::interest_of(const Transaction& txn, Env& env) const {
   return interest;
 }
 
-void Engine::record_history(ProcessId owner, const Transaction& txn,
-                            const QueryOutcome& outcome,
-                            const std::vector<TupleId>& asserted) {
-  if (history_ == nullptr || !history_->enabled()) return;
-  std::vector<TupleId> reads;
-  std::vector<TupleId> retracts;
+void Engine::record_commit(ProcessId owner, const Transaction& txn,
+                           const QueryOutcome& outcome,
+                           const std::vector<TupleId>& asserted) {
+  if (log_ == nullptr) return;
+  Event e;
+  e.pid = owner;
+  e.label = txn.to_string();
+  e.asserts = asserted;
   for (const QueryMatch& m : outcome.matches) {
-    reads.insert(reads.end(), m.reads.begin(), m.reads.end());
+    e.reads.insert(e.reads.end(), m.reads.begin(), m.reads.end());
     for (const auto& [key, id] : m.retract) {
       (void)key;
-      retracts.push_back(id);
+      e.retracts.push_back(id);
     }
   }
-  history_->record_commit(owner, /*consensus_fire=*/0, std::move(reads),
-                          std::move(retracts), asserted, txn.to_string());
+  log_->record(std::move(e));
 }
 
 void Engine::record_wal(ProcessId owner, const DurableEffects& durable) {
@@ -325,7 +326,7 @@ TxnResult GlobalLockEngine::execute(const Transaction& txn, Env& env,
                               /*tolerate_missing_retract=*/false,
                               persist_ != nullptr ? &durable : nullptr);
       result.success = true;
-      record_history(owner, txn, outcome, result.asserted);
+      record_commit(owner, txn, outcome, result.asserted);
       record_wal(owner, durable);
       result.matches = std::move(outcome.matches);
     }
@@ -550,12 +551,12 @@ TxnResult ShardedEngine::execute(const Transaction& txn, Env& env,
 
   // Lock-free read path. Gated to transactions the protocol fully covers:
   // no view window (WindowSource hands out lock-contract references), no
-  // armed history recorder (its serialization witness is a lock-held
-  // sequence number) and no armed fault injector (its commit point is a
+  // armed event log (its serialization witness is a lock-held sequence
+  // number) and no armed fault injector (its commit point is a
   // locked-path hook) — sim and checker runs therefore exercise the
   // always-correct locked path below, unchanged.
   if (txn.is_read_only() && (view == nullptr || view->imports_everything()) &&
-      (history_ == nullptr || !history_->enabled()) && faults_ == nullptr) {
+      log_ == nullptr && faults_ == nullptr) {
     TxnResult result;
     if (try_optimistic_read(txn, env, result, armed)) {
       if (result.success) {
@@ -629,7 +630,7 @@ TxnResult ShardedEngine::execute(const Transaction& txn, Env& env,
       record_wal(owner, durable);
     }
     result.success = true;
-    record_history(owner, txn, outcome, result.asserted);
+    record_commit(owner, txn, outcome, result.asserted);
     result.matches = std::move(outcome.matches);
   }
   std::uint64_t t_released = 0;
@@ -785,7 +786,7 @@ TxnResult ShardedEngine::execute_blind_assert(const Transaction& txn, Env& env,
       touched.push_back(key);
     }
     result.success = true;
-    record_history(owner, txn, outcome, result.asserted);
+    record_commit(owner, txn, outcome, result.asserted);
     record_wal(owner, durable);
     result.matches = std::move(outcome.matches);
   }
@@ -818,8 +819,8 @@ TxnResult ShardedEngine::execute_blind_assert(const Transaction& txn, Env& env,
 bool ShardedEngine::probe(const Transaction& txn, Env& env, const View* view) {
   stats_.probes.add();
   // Lock-free first: a probe is a pre-check, so a validated optimistic
-  // evaluation answers it with no locks at all. No history/fault gating —
-  // probes never record history and never commit.
+  // evaluation answers it with no locks at all. No log/fault gating —
+  // probes never record events and never commit.
   if (view == nullptr || view->imports_everything()) {
     TxnResult scratch;
     if (try_optimistic_read(txn, env, scratch, obs_metrics())) {

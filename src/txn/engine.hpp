@@ -22,7 +22,7 @@
 #include <shared_mutex>
 #include <unordered_map>
 
-#include "check/history.hpp"
+#include "trace/event_log.hpp"
 #include "control/overload.hpp"
 #include "persist/wal.hpp"
 #include "core/striped_counter.hpp"
@@ -151,10 +151,11 @@ class Engine {
   /// transactions are in flight.
   void set_fault_injector(FaultInjector* f) { faults_ = f; }
 
-  /// Arms commit-history recording for the serializability checker (null
-  /// disables). Call while no transactions are in flight.
-  void set_history(HistoryRecorder* h) { history_ = h; }
-  [[nodiscard]] HistoryRecorder* history() const { return history_; }
+  /// Arms the run's event log (null disables): every commit is recorded
+  /// with its instance sets, and the scheduler records process lifecycle
+  /// events into the same log. Call while no transactions are in flight.
+  void set_event_log(EventLog* log) { log_ = log; }
+  [[nodiscard]] EventLog* event_log() const { return log_; }
 
   /// Arms the mutation self-test hooks (null disables). ShardedEngine
   /// only; the reference GlobalLockEngine stays unbroken by construction.
@@ -262,13 +263,13 @@ class Engine {
                                       bool tolerate_missing_retract = false,
                                       DurableEffects* durable = nullptr);
 
-  /// Records one commit with the history recorder, when armed. MUST be
-  /// called with the commit's locks still held (the sequence number is
-  /// the serialization witness). Records the *intended* retract set from
-  /// the matches — under sabotage that intent is exactly what convicts.
-  void record_history(ProcessId owner, const Transaction& txn,
-                      const QueryOutcome& outcome,
-                      const std::vector<TupleId>& asserted);
+  /// Records one commit in the event log, when armed. MUST be called
+  /// with the commit's locks still held (the sequence number is the
+  /// serialization witness). Records the *intended* retract set from the
+  /// matches — under sabotage that intent is exactly what convicts.
+  void record_commit(ProcessId owner, const Transaction& txn,
+                     const QueryOutcome& outcome,
+                     const std::vector<TupleId>& asserted);
 
   /// FaultInjector decision at the commit point, called with the engine's
   /// locks held and the query outcome known. Returns true when the commit
@@ -294,7 +295,7 @@ class Engine {
   const FunctionRegistry* fns_;
   EngineStats stats_;
   FaultInjector* faults_ = nullptr;
-  HistoryRecorder* history_ = nullptr;
+  EventLog* log_ = nullptr;
   EngineSabotage* sabotage_ = nullptr;
   control::OverloadControl* overload_ = nullptr;
   persist::PersistManager* persist_ = nullptr;
@@ -345,7 +346,7 @@ class GlobalLockEngine final : public Engine {
 ///     snapshot, serialized where every sampled shard was quiet; invalid ⇒
 ///     retry in place, then fall back to the shared-lock path after
 ///     kOptimisticAttempts so write-heavy mixes cannot livelock. Gated off
-///     when a view window, the history recorder, or the fault injector is
+///     when a view window, the event log, or the fault injector is
 ///     armed — those need the locked path's witnesses and injection
 ///     points, and the locked path is always semantically correct.
 ///   * BLIND ASSERTS — a pure-guard, assert-only transaction reads nothing

@@ -205,7 +205,7 @@ TEST(ChaosTest, DeterministicSweepDiningUnderCommitFaults) {
     rt->enable_faults(static_cast<std::uint64_t>(seed) + 1)
         .arm(FaultPoint::EngineCommit, FaultAction::FailCommit, 250, 0);
     lang::load_path(*rt, script("dining.sdl"));
-    rt->enable_history();
+    rt->arm_log();
     return rt;
   };
   const sim::CheckFn check = [](Runtime& rt, const RunReport& report) {
@@ -231,7 +231,7 @@ TEST(ChaosTest, DeterministicSweepBoundedBufferUnderSpuriousWakes) {
     rt->enable_faults(static_cast<std::uint64_t>(seed) + 1)
         .arm(FaultPoint::WaitSetPublish, FaultAction::SpuriousWake, 400, 0);
     lang::load_path(*rt, script("bounded_buffer.sdl"));
-    rt->enable_history();
+    rt->arm_log();
     return rt;
   };
   const sim::CheckFn check = [](Runtime& rt, const RunReport& report) {

@@ -85,6 +85,42 @@ TEST(ReplTest, SpawnAndRun) {
   EXPECT_EQ(repl.runtime().space().count(tup("e", 7)), 1u);
 }
 
+TEST(ReplTest, TimelineShowsHostCommitsThenEachRun) {
+  ReplSession repl(small_opts());
+  ProcessDef def;
+  def.name = "Emit";
+  def.params = {"k"};
+  def.body = seq({stmt(
+      TxnBuilder().assert_tuple({lit(Value::atom("e")), evar("k")}).build())});
+  repl.runtime().define(std::move(def));
+
+  // A one-liner is a host commit: counted, no pid0 lane.
+  repl.eval("-> [year, 87]");
+  std::string tl = repl.eval(":timeline");
+  EXPECT_NE(tl.find("0 processes"), std::string::npos) << tl;
+  EXPECT_NE(tl.find("1 host commits"), std::string::npos) << tl;
+  EXPECT_EQ(tl.find("pid0"), std::string::npos) << tl;
+
+  // :run starts a fresh log; the process spawned before it keeps its lane.
+  std::string spawned = repl.eval(":spawn Emit(1)");
+  const std::string first = spawned.substr(spawned.find("Emit#"));
+  repl.eval(":run");
+  tl = repl.eval(":timeline");
+  EXPECT_NE(tl.find("1 processes"), std::string::npos) << tl;
+  EXPECT_NE(tl.find(first), std::string::npos) << tl;
+  EXPECT_NE(tl.find("commits=1"), std::string::npos) << tl;
+  EXPECT_EQ(tl.find("host commits"), std::string::npos) << tl;
+
+  // A second :run shows only itself.
+  spawned = repl.eval(":spawn Emit(2)");
+  const std::string second = spawned.substr(spawned.find("Emit#"));
+  repl.eval(":run");
+  tl = repl.eval(":timeline");
+  EXPECT_NE(tl.find("1 processes"), std::string::npos) << tl;
+  EXPECT_NE(tl.find(second), std::string::npos) << tl;
+  EXPECT_EQ(tl.find(first), std::string::npos) << tl;
+}
+
 TEST(ReplTest, QuitSetsDone) {
   ReplSession repl(small_opts());
   EXPECT_FALSE(repl.done());

@@ -381,9 +381,8 @@ TEST(RuntimeTest, ViewConfinesProcessQueries) {
 }
 
 TEST(RuntimeTest, TraceRecordsLifecycle) {
-  RuntimeOptions o = small_opts();
-  o.tracing = true;
-  Runtime rt(o);
+  Runtime rt(small_opts());
+  rt.arm_log();
   ProcessDef def;
   def.name = "Traced";
   def.body = seq({stmt(assert_txn("t", 1))});
@@ -393,10 +392,10 @@ TEST(RuntimeTest, TraceRecordsLifecycle) {
   bool saw_spawn = false;
   bool saw_commit = false;
   bool saw_terminate = false;
-  for (const TraceEvent& ev : rt.trace().events()) {
-    saw_spawn |= ev.kind == TraceKind::Spawn;
-    saw_commit |= ev.kind == TraceKind::Commit;
-    saw_terminate |= ev.kind == TraceKind::Terminate;
+  for (const Event& ev : rt.event_log()->events()) {
+    saw_spawn |= ev.kind == EventKind::Spawn;
+    saw_commit |= ev.kind == EventKind::Commit;
+    saw_terminate |= ev.kind == EventKind::Terminate;
   }
   EXPECT_TRUE(saw_spawn);
   EXPECT_TRUE(saw_commit);

@@ -157,7 +157,7 @@ TEST(ConsensusStressDeterministic, SweepFiresExactlyOncePerCommunity) {
         rt->spawn("Member", {Value(c), Value(i)});
       }
     }
-    rt->enable_history();
+    rt->arm_log();
     return rt;
   };
   const sim::CheckFn check = [](Runtime& rt, const RunReport& report) {

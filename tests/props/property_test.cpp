@@ -194,7 +194,7 @@ TEST(ReplicationSortDeterministic, SweepSortsSeededPermutations) {
             .build())})});
     rt->define(std::move(def));
     rt->spawn("SortRep");
-    rt->enable_history();
+    rt->arm_log();
     return rt;
   };
   const sim::CheckFn check = [](Runtime& rt, const RunReport& report) {
@@ -276,7 +276,7 @@ TEST(Sum3Deterministic, SweepSumsFixedArrayUnderAnySchedule) {
             .build())})});
     rt->define(std::move(def));
     rt->spawn("Sum3");
-    rt->enable_history();
+    rt->arm_log();
     return rt;
   };
   const sim::CheckFn check = [](Runtime& rt, const RunReport& report) {

@@ -1,6 +1,6 @@
 // The serializability checker (ISSUE 3 tentpole, part 2): handcrafted
 // histories exercise every violation kind through the pure
-// check_history() entry point, then live societies confirm the recorder
+// check_history() entry point, then live societies confirm the event log
 // plus checker pass end-to-end on correct executions.
 #include <gtest/gtest.h>
 
@@ -15,12 +15,12 @@ TupleId id(ProcessId owner, std::uint64_t sequence) {
   return TupleId(owner, sequence);
 }
 
-HistoryEntry entry(std::uint64_t seq, std::vector<TupleId> reads,
-                   std::vector<TupleId> retracts, std::vector<TupleId> asserts,
-                   std::uint64_t fire = 0) {
-  HistoryEntry e;
+Event entry(std::uint64_t seq, std::vector<TupleId> reads,
+            std::vector<TupleId> retracts, std::vector<TupleId> asserts,
+            std::uint64_t fire = 0) {
+  Event e;
   e.seq = seq;
-  e.owner = static_cast<ProcessId>(seq);
+  e.pid = static_cast<ProcessId>(seq);
   e.consensus_fire = fire;
   e.reads = std::move(reads);
   e.retracts = std::move(retracts);
@@ -182,13 +182,18 @@ void run_clean_society(RuntimeOptions o, int procs) {
   rt.seed(tup("c", 0));
   rt.define(incrementer_def());
   for (int i = 0; i < procs; ++i) rt.spawn("Inc");
-  HistoryRecorder& rec = rt.enable_history();
+  EventLog& log = rt.arm_log();
   ASSERT_TRUE(rt.run().clean());
   EXPECT_EQ(rt.space().count(tup("c", procs)), 1u);
   const CheckReport r = rt.check_history();
   EXPECT_TRUE(r.ok()) << r.to_string();
   EXPECT_GE(r.commits_checked, static_cast<std::size_t>(procs));
-  EXPECT_GE(rec.commits(), static_cast<std::uint64_t>(procs));
+  const std::vector<Event> events = log.events();
+  EXPECT_GE(std::count_if(events.begin(), events.end(),
+                          [](const Event& e) {
+                            return e.kind == EventKind::Commit;
+                          }),
+            procs);
 }
 
 TEST(SimCheckerTest, LiveDeterministicSocietyPasses) {
@@ -242,7 +247,7 @@ TEST(SimCheckerTest, ConsensusFiresRecordAtomicComposites) {
     rt.seed(tup(c, 5));
     for (int i = 0; i < 3; ++i) rt.spawn("Member", {Value(c), Value(i)});
   }
-  HistoryRecorder& rec = rt.enable_history();
+  EventLog& log = rt.arm_log();
   ASSERT_TRUE(rt.run().clean());
   EXPECT_EQ(rt.consensus().fires(), 2u);
 
@@ -251,8 +256,7 @@ TEST(SimCheckerTest, ConsensusFiresRecordAtomicComposites) {
   std::size_t fire_entries = 0;
   std::uint64_t distinct_fires = 0;
   std::uint64_t last_fire = 0;
-  std::vector<HistoryEntry> entries = rec.entries();
-  for (const HistoryEntry& e : entries) {
+  for (const Event& e : log.events()) {
     if (e.consensus_fire == 0) continue;
     ++fire_entries;
     if (e.consensus_fire != last_fire) {

@@ -30,7 +30,7 @@ sim::BuildFn independent_pair() {
     rt->define(std::move(b));
     rt->spawn("AssertA");
     rt->spawn("AssertB");
-    rt->enable_history();
+    rt->arm_log();
     return rt;
   };
 }
@@ -60,7 +60,7 @@ sim::BuildFn token_race() {
     rt->define(std::move(b));
     rt->spawn("TakerA");
     rt->spawn("TakerB");
-    rt->enable_history();
+    rt->arm_log();
     return rt;
   };
 }

@@ -21,14 +21,15 @@ CheckReport run_contended(bool split_2pl, int threads, int ops) {
   WaitSet waits;
   FunctionRegistry fns;
   ShardedEngine engine(space, waits, &fns);
-  HistoryRecorder rec;
-  rec.reset(space);
-  rec.set_enabled(true);
-  engine.set_history(&rec);
+  EventLog log;
+  engine.set_event_log(&log);
   EngineSabotage sab;
   sab.split_2pl.store(split_2pl);
   engine.set_sabotage(&sab);
-  rec.record_seed(space.insert(tup("c", 0), kEnvironmentProcess));
+  Event seed;
+  seed.kind = EventKind::Seed;
+  seed.asserts.push_back(space.insert(tup("c", 0), kEnvironmentProcess));
+  log.record(std::move(seed));
 
   {
     std::vector<std::jthread> workers;
@@ -51,7 +52,7 @@ CheckReport run_contended(bool split_2pl, int threads, int ops) {
       });
     }
   }
-  return check_serializability(rec, space);
+  return check_serializability(log, space);
 }
 
 TEST(SimMutationTest, Split2plConvictedUnderContention) {
@@ -99,7 +100,7 @@ std::unique_ptr<Runtime> det_society(std::int64_t seed, int procs) {
   rt->seed(tup("c", 0));
   rt->define(one_shot_incrementer());
   for (int i = 0; i < procs; ++i) rt->spawn("Inc");
-  rt->enable_history();
+  rt->arm_log();
   return rt;
 }
 

@@ -1,7 +1,6 @@
 // Deterministic scheduler mode (ISSUE 3 tentpole): a single coordinator
 // picks every dispatch from a seeded walk, so the same seed must replay
-// the same schedule bit-for-bit — including the TraceRecorder event
-// sequence — and park deadlines expire on a virtual clock instead of
+// the same schedule bit-for-bit — including the event-log sequence — and park deadlines expire on a virtual clock instead of
 // wall time. Kill and fault-injected teardown must stay deterministic.
 #include <gtest/gtest.h>
 
@@ -12,10 +11,9 @@
 namespace sdl {
 namespace {
 
-RuntimeOptions det_opts(std::int64_t seed, bool tracing = false) {
+RuntimeOptions det_opts(std::int64_t seed) {
   RuntimeOptions o;
   o.scheduler.deterministic_seed = seed;
-  o.tracing = tracing;
   return o;
 }
 
@@ -58,12 +56,12 @@ void build_mixed_society(Runtime& rt) {
   rt.spawn("SortRep");
 }
 
-/// (kind, pid, detail) fingerprint of a whole trace.
-std::vector<std::string> trace_fingerprint(const TraceRecorder& trace) {
+/// (kind, pid, label) fingerprint of a whole event log.
+std::vector<std::string> trace_fingerprint(const EventLog& log) {
   std::vector<std::string> out;
-  for (const TraceEvent& e : trace.events()) {
+  for (const Event& e : log.events()) {
     out.push_back(std::string(to_string(e.kind)) + "|" +
-                  std::to_string(e.pid) + "|" + e.detail);
+                  std::to_string(e.pid) + "|" + e.label);
   }
   return out;
 }
@@ -74,14 +72,15 @@ TEST(SimSchedTest, SameSeedReplaysIdenticalTraceSequence) {
   std::vector<std::string> first;
   std::size_t first_completed = 0;
   for (int round = 0; round < 2; ++round) {
-    Runtime rt(det_opts(/*seed=*/42, /*tracing=*/true));
+    Runtime rt(det_opts(/*seed=*/42));
+    rt.arm_log();
     build_mixed_society(rt);
     const RunReport report = rt.run();
     ASSERT_TRUE(report.clean())
         << (report.parked.empty() ? "" : report.parked[0]);
     EXPECT_EQ(rt.space().count(tup("c", 8)), 1u);
     for (int i = 1; i <= 6; ++i) EXPECT_EQ(rt.space().count(tup(i, i)), 1u);
-    const std::vector<std::string> fp = trace_fingerprint(rt.trace());
+    const std::vector<std::string> fp = trace_fingerprint(*rt.event_log());
     ASSERT_FALSE(fp.empty());
     if (round == 0) {
       first = fp;
@@ -102,11 +101,12 @@ TEST(SimSchedTest, DifferentSeedsReachDifferentSchedules) {
   // same result, different schedules).
   std::vector<std::vector<std::string>> traces;
   for (std::int64_t seed = 0; seed < 8; ++seed) {
-    Runtime rt(det_opts(seed, /*tracing=*/true));
+    Runtime rt(det_opts(seed));
+    rt.arm_log();
     build_mixed_society(rt);
     ASSERT_TRUE(rt.run().clean()) << "seed " << seed;
     EXPECT_EQ(rt.space().count(tup("c", 8)), 1u) << "seed " << seed;
-    traces.push_back(trace_fingerprint(rt.trace()));
+    traces.push_back(trace_fingerprint(*rt.event_log()));
   }
   std::size_t distinct = 0;
   for (std::size_t i = 0; i < traces.size(); ++i) {
@@ -223,7 +223,8 @@ TEST(SimSchedTest, FaultInjectedKillsAreDeterministic) {
   std::vector<std::string> first_killed;
   std::vector<std::string> first_trace;
   for (int round = 0; round < 2; ++round) {
-    Runtime rt(det_opts(/*seed=*/9, /*tracing=*/true));
+    Runtime rt(det_opts(/*seed=*/9));
+    rt.arm_log();
     rt.enable_faults(/*seed=*/77).arm(FaultPoint::SchedulerDispatch,
                                       FaultAction::Kill, 120, 3);
     build_mixed_society(rt);
@@ -231,7 +232,7 @@ TEST(SimSchedTest, FaultInjectedKillsAreDeterministic) {
     EXPECT_TRUE(report.errors.empty())
         << (report.errors.empty() ? "" : report.errors[0]);
     EXPECT_EQ(rt.scheduler().live_count(), 0u);
-    const std::vector<std::string> fp = trace_fingerprint(rt.trace());
+    const std::vector<std::string> fp = trace_fingerprint(*rt.event_log());
     if (round == 0) {
       first_killed = report.killed;
       first_trace = fp;

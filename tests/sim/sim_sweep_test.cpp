@@ -31,7 +31,7 @@ sim::BuildFn script_build(const char* name) {
     o.scheduler.deterministic_seed = seed;
     auto rt = std::make_unique<Runtime>(o);
     lang::load_path(*rt, path);
-    rt->enable_history();
+    rt->arm_log();
     return rt;
   };
 }
@@ -122,7 +122,7 @@ TEST(SimSweepTest, ContendedCounterSweepConservesTotal) {
                              .build())});
     rt->define(std::move(def));
     for (int i = 0; i < 10; ++i) rt->spawn("Inc");
-    rt->enable_history();
+    rt->arm_log();
     return rt;
   };
   const sim::CheckFn check = [](Runtime& rt, const RunReport& report) {
@@ -176,7 +176,7 @@ TEST(SimSweepTest, ReadHeavyFallbackSweepStaysSerializable) {
       rt->spawn("Inc2");
       rt->spawn("ReadBoth");
     }
-    rt->enable_history();
+    rt->arm_log();
     return rt;
   };
   const sim::CheckFn check = [](Runtime& rt, const RunReport& report) {
@@ -227,7 +227,7 @@ TEST(SimSweepTest, DelayedRingUnderWakeAllStaysSerializable) {
     // Spawn the ring out of order so early schedules park most workers.
     for (int i = 5; i >= 0; --i) rt->spawn("Step", {Value(i)});
     for (int k = 0; k < 3; ++k) rt->spawn("Noise", {Value(k)});
-    rt->enable_history();
+    rt->arm_log();
     return rt;
   };
   const sim::CheckFn check = [](Runtime& rt, const RunReport& report) {
@@ -276,7 +276,7 @@ TEST(SimSweepTest, FailingSweepNamesSeedAndMinimizesSchedule) {
     rt->define(std::move(b));
     rt->spawn("TakerA");
     rt->spawn("TakerB");
-    rt->enable_history();
+    rt->arm_log();
     return rt;
   };
   const sim::CheckFn a_must_win = [](Runtime& rt, const RunReport&) {

@@ -7,21 +7,32 @@
 namespace sdl {
 namespace {
 
-std::vector<TraceEvent> sample_events() {
-  std::vector<TraceEvent> events;
+Event ev(std::uint64_t seq, EventKind kind, ProcessId pid,
+         std::string label = "", std::uint64_t consensus_fire = 0) {
+  Event e;
+  e.seq = seq;
+  e.kind = kind;
+  e.pid = pid;
+  e.label = std::move(label);
+  e.consensus_fire = consensus_fire;
+  return e;
+}
+
+std::vector<Event> sample_events() {
+  std::vector<Event> events;
   std::uint64_t seq = 0;
-  auto ev = [&](TraceKind kind, ProcessId pid, const char* detail = "") {
-    events.push_back(TraceEvent{seq++, kind, pid, detail});
+  auto add = [&](EventKind kind, ProcessId pid, const char* label = "") {
+    events.push_back(ev(seq++, kind, pid, label));
   };
-  ev(TraceKind::SeedTuple, 0);
-  ev(TraceKind::Spawn, 1, "Producer");
-  ev(TraceKind::Spawn, 2, "Consumer");
-  ev(TraceKind::Park, 2, "Consumer");
-  ev(TraceKind::Commit, 1, "[item, 7]");
-  ev(TraceKind::Wake, 2, "Consumer");
-  ev(TraceKind::Commit, 2, "[eaten, 7]");
-  ev(TraceKind::Terminate, 1, "Producer");
-  ev(TraceKind::Terminate, 2, "Consumer");
+  add(EventKind::Seed, 0);
+  add(EventKind::Spawn, 1, "Producer");
+  add(EventKind::Spawn, 2, "Consumer");
+  add(EventKind::Park, 2, "Consumer");
+  add(EventKind::Commit, 1, "[item, 7]");
+  add(EventKind::Wake, 2, "Consumer");
+  add(EventKind::Commit, 2, "[eaten, 7]");
+  add(EventKind::Terminate, 1, "Producer");
+  add(EventKind::Terminate, 2, "Consumer");
   return events;
 }
 
@@ -53,10 +64,10 @@ TEST(TimelineTest, EmptyTrace) {
 }
 
 TEST(TimelineTest, ProcessWithoutSpawnEventStillAppears) {
-  // Ring overwrote the Spawn: first-seen event anchors the row.
-  std::vector<TraceEvent> events = {
-      TraceEvent{10, TraceKind::Commit, 5, "[x]"},
-      TraceEvent{11, TraceKind::Terminate, 5, "Worker"},
+  // The log was armed after the spawn: first-seen event anchors the row.
+  std::vector<Event> events = {
+      ev(10, EventKind::Commit, 5, "[x]"),
+      ev(11, EventKind::Terminate, 5, "Worker"),
   };
   const TimelineSummary s = summarize(events);
   ASSERT_EQ(s.processes.size(), 1u);
@@ -77,9 +88,9 @@ TEST(TimelineTest, RenderShowsGlyphsAndCounts) {
 }
 
 TEST(TimelineTest, LiveProcessMarked) {
-  std::vector<TraceEvent> events = {
-      TraceEvent{0, TraceKind::Spawn, 1, "Stuck"},
-      TraceEvent{1, TraceKind::Park, 1, "Stuck"},
+  std::vector<Event> events = {
+      ev(0, EventKind::Spawn, 1, "Stuck"),
+      ev(1, EventKind::Park, 1, "Stuck"),
   };
   std::ostringstream os;
   render_ascii(summarize(events), os, 16);
@@ -87,15 +98,38 @@ TEST(TimelineTest, LiveProcessMarked) {
 }
 
 TEST(TimelineTest, ConsensusFiresCounted) {
-  std::vector<TraceEvent> events = {
-      TraceEvent{0, TraceKind::Spawn, 1, "A"},
-      TraceEvent{1, TraceKind::Consensus, 1, ""},
+  std::vector<Event> events = {
+      ev(0, EventKind::Spawn, 1, "A"),
+      ev(1, EventKind::Spawn, 2, "B"),
+      // One fire: both members' commits share its ordinal.
+      ev(2, EventKind::Commit, 1, "[done]", /*consensus_fire=*/1),
+      ev(3, EventKind::Commit, 2, "[done]", /*consensus_fire=*/1),
   };
   const TimelineSummary s = summarize(events);
   EXPECT_EQ(s.consensus_fires, 1u);
+  EXPECT_EQ(s.processes[0].commits, 1u);
   std::ostringstream os;
   render_ascii(s, os, 16);
   EXPECT_NE(os.str().find("1 consensus fires"), std::string::npos);
+  EXPECT_NE(os.str().find('@'), std::string::npos) << "consensus glyph missing";
+}
+
+TEST(TimelineTest, HostCommitsCountedWithoutLane) {
+  // Environment commits (Runtime::execute, pid 0) are counted like seeds
+  // and open no lane.
+  std::vector<Event> events = {
+      ev(0, EventKind::Seed, 0, "[x]"),
+      ev(1, EventKind::Commit, 0, "-> [y]"),
+      ev(2, EventKind::Commit, 0, "-> [z]"),
+  };
+  const TimelineSummary s = summarize(events);
+  EXPECT_TRUE(s.processes.empty());
+  EXPECT_EQ(s.seeds, 1u);
+  EXPECT_EQ(s.host_commits, 2u);
+  std::ostringstream os;
+  render_ascii(s, os, 16);
+  EXPECT_NE(os.str().find("2 host commits"), std::string::npos);
+  EXPECT_EQ(os.str().find("pid0"), std::string::npos);
 }
 
 TEST(TimelineTest, HtmlRenderIsWellFormedEnough) {
@@ -118,8 +152,8 @@ TEST(TimelineTest, HtmlRenderIsWellFormedEnough) {
 }
 
 TEST(TimelineTest, HtmlEscapesProcessNames) {
-  std::vector<TraceEvent> events = {
-      TraceEvent{0, TraceKind::Spawn, 1, "Evil<script>\"&"},
+  std::vector<Event> events = {
+      ev(0, EventKind::Spawn, 1, "Evil<script>\"&"),
   };
   std::ostringstream os;
   render_html(summarize(events), os);
@@ -130,9 +164,9 @@ TEST(TimelineTest, HtmlEscapesProcessNames) {
 
 TEST(TimelineTest, ColumnsStayInBounds) {
   // Large sequence numbers must not index outside the lane.
-  std::vector<TraceEvent> events = {
-      TraceEvent{1000000, TraceKind::Spawn, 1, "A"},
-      TraceEvent{2000000, TraceKind::Terminate, 1, "A"},
+  std::vector<Event> events = {
+      ev(1000000, EventKind::Spawn, 1, "A"),
+      ev(2000000, EventKind::Terminate, 1, "A"),
   };
   std::ostringstream os;
   render_ascii(summarize(events), os, 24);

@@ -3,7 +3,9 @@
 //
 // Claim under test: (arity, head) bucketing makes a constant-headed match
 // O(bucket), not O(|D|); head-blind (arity-wide) matching degrades to a
-// full scan — this is the raw machinery views and patterns rely on.
+// walk over the occupied buckets of that arity — this is the raw
+// machinery views and patterns rely on. Emptied buckets are off that
+// walk: a first match after a drain costs O(shards), not O(tombstones).
 #include <benchmark/benchmark.h>
 
 #include "workloads.hpp"
@@ -67,6 +69,33 @@ void BM_MatchArityWide(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * size);
 }
 
+/// First match of a head-blind pattern after a Sum3-style drain: `size`
+/// distinct heads inserted, all but four erased. The emptied buckets stay
+/// allocated; the scan must not walk them.
+void BM_ArityFirstMatchAfterDrain(benchmark::State& state) {
+  const std::int64_t size = state.range(0);
+  constexpr std::int64_t kSurvivors = 4;
+  Dataspace space(64);
+  for (std::int64_t i = 0; i < size; ++i) {
+    const Tuple t = tup(i, i);
+    const TupleId id = space.insert(t, kEnvironmentProcess);
+    if (i % (size / kSurvivors) != 0) space.erase(IndexKey::of(t), id);
+  }
+  const std::uint64_t visited_before = space.stats().buckets_visited;
+  for (auto _ : state) {
+    std::size_t hits = 0;
+    space.scan_arity(2, [&](const Record&) {
+      ++hits;
+      return false;
+    });
+    benchmark::DoNotOptimize(hits);
+  }
+  state.counters["buckets_per_scan"] = benchmark::Counter(
+      static_cast<double>(space.stats().buckets_visited - visited_before),
+      benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(state.iterations());
+}
+
 /// A full pattern match through the query engine over one bucket.
 void BM_QueryIndexedJoin(benchmark::State& state) {
   const std::int64_t size = state.range(0);
@@ -116,6 +145,7 @@ BENCHMARK(BM_MatchByHead)
     ->ArgsProduct({{100000}, {1, 16, 256, 4096}});
 BENCHMARK(BM_MatchArityWide)->RangeMultiplier(10)->Range(1000, 100000)
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ArityFirstMatchAfterDrain)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_QueryIndexedJoin)->RangeMultiplier(10)->Range(1000, 100000)
     ->Unit(benchmark::kMicrosecond);
 

@@ -1503,7 +1503,9 @@ Scheduler::StepOutcome Scheduler::do_sweep(Process& p, Frame& f) {
   ReplicationGroup* group = p.group.get();
   const std::vector<Branch>& branches = f.stmt->branches;
 
-  {
+  // A sweeping replicant keeps its ticket across sweeps: build the
+  // interest only when it has none.
+  if (p.ticket == WaitSet::kInvalidTicket) {
     WaitSet::Interest interest;
     for (const Branch& b : branches) {
       WaitSet::Interest one = engine_.interest_of(b.guard, p.env);

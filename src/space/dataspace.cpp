@@ -51,6 +51,12 @@ Dataspace::~Dataspace() {
       }
     }
     delete t;
+    for (ArityEntry* e = shards_[si].arities.load(std::memory_order_relaxed);
+         e != nullptr;) {
+      ArityEntry* next = e->next;
+      delete e;
+      e = next;
+    }
   }
 }
 
@@ -97,12 +103,27 @@ Dataspace::BucketNode* Dataspace::ensure_bucket(Shard& shard,
     // capacity) — advance the epoch so cached query plans re-compile.
     stats_epoch_.fetch_add(1, std::memory_order_relaxed);
   }
-  auto* b = new BucketNode(key);
+  ArityEntry* list = find_arity(shard, key.arity);
+  if (list == nullptr) {
+    list = new ArityEntry(key.arity,
+                          shard.arities.load(std::memory_order_relaxed));
+    shard.arities.store(list, std::memory_order_release);
+  }
+  auto* b = new BucketNode(key, *list);
   auto& slot = t->slots[slot_of(*t, key)];
   b->chain.store(slot.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
   slot.store(b, std::memory_order_release);  // publish fully-formed
   return b;
+}
+
+Dataspace::ArityEntry* Dataspace::find_arity(const Shard& shard,
+                                             std::uint32_t arity) {
+  for (ArityEntry* e = shard.arities.load(std::memory_order_acquire);
+       e != nullptr; e = e->next) {
+    if (e->arity == arity) return e;
+  }
+  return nullptr;
 }
 
 Dataspace::Node* Dataspace::link_record(BucketNode& bucket, Record rec) {
@@ -113,6 +134,14 @@ Dataspace::Node* Dataspace::link_record(BucketNode& bucket, Record rec) {
   if (head != nullptr) head->prev = n;
   bucket.position.emplace(n->rec.id, n);
   bucket.head.store(n, std::memory_order_release);  // publish fully-formed
+  if (head == nullptr) {
+    // Empty -> occupied: push the bucket at its occupancy list's head.
+    BucketNode* first = bucket.occ_list.occupied.load(std::memory_order_relaxed);
+    bucket.occ_prev = nullptr;
+    bucket.occ_next.store(first, std::memory_order_release);
+    if (first != nullptr) first->occ_prev = &bucket;
+    bucket.occ_list.occupied.store(&bucket, std::memory_order_release);
+  }
   return n;
 }
 
@@ -166,6 +195,18 @@ bool Dataspace::erase(const IndexKey& key, TupleId id) {
   }
   epoch::retire(n, [](void* p) { delete static_cast<Node*>(p); });
 
+  if (bucket->head.load(std::memory_order_relaxed) == nullptr) {
+    // Occupied -> empty: unlink the bucket from its occupancy list. Its
+    // own `occ_next` stays intact for a reader standing on it.
+    BucketNode* next = bucket->occ_next.load(std::memory_order_relaxed);
+    if (next != nullptr) next->occ_prev = bucket->occ_prev;
+    if (bucket->occ_prev != nullptr) {
+      bucket->occ_prev->occ_next.store(next, std::memory_order_release);
+    } else {
+      bucket->occ_list.occupied.store(next, std::memory_order_release);
+    }
+  }
+
   Shard::drop(shard.live);
   Shard::bump(shard.retracts);
   return true;
@@ -176,6 +217,7 @@ void Dataspace::scan_key(const IndexKey& key, const RecordFn& fn) const {
   const BucketNode* bucket = find_bucket(shard, key);
   if (bucket == nullptr) return;
   Shard& counters = const_cast<Shard&>(shard);
+  Shard::bump(counters.visited);
   std::uint64_t seen = 0;
   for (const Node* n = bucket->head.load(std::memory_order_acquire);
        n != nullptr; n = n->next.load(std::memory_order_acquire)) {
@@ -202,45 +244,44 @@ void Dataspace::scan_key_second(const IndexKey& key, const Value& second,
   }
 }
 
+bool Dataspace::walk_occupied(const Shard& shard, const ArityEntry& list,
+                              const RecordFn& fn, bool count_records) {
+  Shard& counters = const_cast<Shard&>(shard);
+  std::uint64_t buckets = 0;
+  std::uint64_t seen = 0;
+  bool more = true;
+  for (const BucketNode* b = list.occupied.load(std::memory_order_acquire);
+       more && b != nullptr; b = b->occ_next.load(std::memory_order_acquire)) {
+    ++buckets;
+    for (const Node* n = b->head.load(std::memory_order_acquire);
+         n != nullptr; n = n->next.load(std::memory_order_acquire)) {
+      ++seen;
+      if (!fn(n->rec)) {
+        more = false;
+        break;
+      }
+    }
+  }
+  if (buckets != 0) Shard::bump(counters.visited, buckets);
+  if (count_records && seen != 0) Shard::bump(counters.scanned, seen);
+  return more;
+}
+
 void Dataspace::scan_arity(std::uint32_t arity, const RecordFn& fn) const {
   for (std::size_t si = 0; si < shard_count_; ++si) {
-    const Shard& shard = shards_[si];
-    Shard& counters = const_cast<Shard&>(shard);
-    const Table* t = shard.table.load(std::memory_order_acquire);
-    for (std::size_t slot = 0; slot <= t->mask; ++slot) {
-      for (const BucketNode* b =
-               t->slots[slot].load(std::memory_order_acquire);
-           b != nullptr; b = b->chain.load(std::memory_order_acquire)) {
-        if (b->key.arity != arity) continue;
-        std::uint64_t seen = 0;
-        bool stop = false;
-        for (const Node* n = b->head.load(std::memory_order_acquire);
-             n != nullptr; n = n->next.load(std::memory_order_acquire)) {
-          ++seen;
-          if (!fn(n->rec)) {
-            stop = true;
-            break;
-          }
-        }
-        if (seen != 0) Shard::bump(counters.scanned, seen);
-        if (stop) return;
-      }
+    const ArityEntry* list = find_arity(shards_[si], arity);
+    if (list != nullptr && !walk_occupied(shards_[si], *list, fn, true)) {
+      return;
     }
   }
 }
 
 void Dataspace::scan_all(const RecordFn& fn) const {
   for (std::size_t si = 0; si < shard_count_; ++si) {
-    const Table* t = shards_[si].table.load(std::memory_order_acquire);
-    for (std::size_t slot = 0; slot <= t->mask; ++slot) {
-      for (const BucketNode* b =
-               t->slots[slot].load(std::memory_order_acquire);
-           b != nullptr; b = b->chain.load(std::memory_order_acquire)) {
-        for (const Node* n = b->head.load(std::memory_order_acquire);
-             n != nullptr; n = n->next.load(std::memory_order_acquire)) {
-          if (!fn(n->rec)) return;
-        }
-      }
+    for (const ArityEntry* e =
+             shards_[si].arities.load(std::memory_order_acquire);
+         e != nullptr; e = e->next) {
+      if (!walk_occupied(shards_[si], *e, fn, false)) return;
     }
   }
 }
@@ -294,6 +335,7 @@ SpaceStats Dataspace::stats() const {
     s.asserts += shard.asserts.load(std::memory_order_relaxed);
     s.retracts += shard.retracts.load(std::memory_order_relaxed);
     s.records_scanned += shard.scanned.load(std::memory_order_relaxed);
+    s.buckets_visited += shard.visited.load(std::memory_order_relaxed);
   }
   return s;
 }

@@ -3,8 +3,18 @@
 // Storage is content-addressed: tuples are bucketed by an IndexKey derived
 // from (arity, first-field value). A pattern whose first term is a constant
 // probes exactly one bucket; a pattern whose first term is a variable or
-// wildcard scans all buckets of its arity. This mirrors the standard
-// tuple-space implementation trick and is what experiment E5 measures.
+// wildcard walks the NON-EMPTY buckets of its arity. This mirrors the
+// standard tuple-space implementation trick and is what experiment E5
+// measures.
+//
+// Emptied buckets stay allocated as tombstones (see BucketNode), so a walk
+// over every bucket ever created would cost one step per distinct head
+// ever consumed — quadratic over a §3.1 Sum3 run. Each shard therefore
+// keeps an arity directory: per arity, an intrusive list of the shard's
+// currently occupied buckets. A bucket joins its list when its first
+// record is linked and leaves it when its last record is erased, so
+// scan_arity costs O(shards + occupied buckets visited) and scan_all
+// O(shards + occupied buckets), independent of how many tombstones exist.
 //
 // Dataspace is deliberately NOT self-synchronizing: the transaction engines
 // in src/txn own the locks (GlobalLockEngine one mutex, ShardedEngine one
@@ -30,6 +40,18 @@
 //     NOT optimistic-safe: they are plain containers read only under locks.
 // Whole-space operations (scan_arity, scan_all, snapshot) need every shard
 // held in the corresponding mode (or per-shard version validation).
+//
+// Why the occupancy lists are optimistic-safe: they are linked and
+// unlinked only under the shard's exclusive lock, inside the writer's
+// begin/end_shard_write bracket, so any reader whose walk overlaps a
+// change fails validation. Memory safety needs no validation: directory
+// entries and BucketNodes are never freed before the Dataspace dies, and
+// an unlinked bucket keeps its `occ_next`, so a reader standing on it can
+// finish its walk through live nodes. A bucket relinked while a reader
+// stands on it sends the reader back to the list head: the walk may then
+// repeat or miss buckets, and validation rejects the attempt (it still
+// ends — every such restart takes another writer commit). This is the
+// same argument as the table-growth rebuild in ensure_bucket.
 #pragma once
 
 #include <atomic>
@@ -92,6 +114,8 @@ struct SpaceStats {
   std::uint64_t asserts = 0;
   std::uint64_t retracts = 0;
   std::uint64_t records_scanned = 0;
+  /// Bucket nodes entered by scan_key, scan_arity and scan_all.
+  std::uint64_t buckets_visited = 0;
 };
 
 /// The tuple store. See file comment for the synchronization contract.
@@ -186,16 +210,18 @@ class Dataspace {
   void scan_key_second(const IndexKey& key, const Value& second,
                        const RecordFn& fn) const;
 
-  /// Visits every record whose tuple has `arity` (crosses all shards —
-  /// caller holds every shard lock, or validates every shard version).
+  /// Visits every record whose tuple has `arity`, walking only occupied
+  /// buckets (crosses all shards — caller holds every shard lock, or
+  /// validates every shard version).
   void scan_arity(std::uint32_t arity, const RecordFn& fn) const;
 
-  /// Visits every record (caller must hold every shard lock).
+  /// Visits every record, walking only occupied buckets (caller must hold
+  /// every shard lock). Counts buckets visited, not records scanned.
   void scan_all(const RecordFn& fn) const;
 
   /// Full-space walk for serialization (snapshots): visits every record,
-  /// no early-stop, no scan-counter noise. Caller must hold every shard
-  /// lock (the persistence layer runs it inside Engine::exclusive).
+  /// no early-stop, no records-scanned noise. Caller must hold every
+  /// shard lock (the persistence layer runs it inside Engine::exclusive).
   void for_each_instance(const std::function<void(const Record&)>& fn) const;
 
   /// Re-inserts an instance under its ORIGINAL id — the recovery path.
@@ -240,17 +266,37 @@ class Dataspace {
     Node* prev = nullptr;
   };
 
+  struct BucketNode;
+
+  /// One arity of a shard's directory: the head of that shard's list of
+  /// occupied buckets of `arity`. Created with the shard's first bucket of
+  /// its arity, pushed at the directory head, never freed until the
+  /// Dataspace dies. `next` is fixed before the entry is published.
+  struct ArityEntry {
+    ArityEntry(std::uint32_t a, ArityEntry* n) : arity(a), next(n) {}
+    const std::uint32_t arity;
+    ArityEntry* const next;
+    std::atomic<BucketNode*> occupied{nullptr};
+  };
+
   /// One bucket. Allocated on first insert of its key and never freed
   /// until the Dataspace dies (an emptied bucket is a tombstone that the
   /// next insert of the same key revives) — that is what lets readers
-  /// traverse the bucket chains without coordination. `position` and
-  /// `by_second` are writer-side auxiliaries: plain containers, mutated
-  /// under the exclusive lock, read only under (at least shared) locks.
+  /// traverse the bucket chains and occupancy lists without coordination.
+  /// While it holds records the bucket is linked into its arity's
+  /// occupancy list: `occ_next` is the reader-visible link (atomic,
+  /// release-published, left intact on unlink), `occ_prev` is writer-only.
+  /// `position` and `by_second` are writer-side auxiliaries: plain
+  /// containers, mutated under the exclusive lock, read only under (at
+  /// least shared) locks.
   struct BucketNode {
-    explicit BucketNode(const IndexKey& k) : key(k) {}
+    BucketNode(const IndexKey& k, ArityEntry& list) : key(k), occ_list(list) {}
     const IndexKey key;
+    ArityEntry& occ_list;  // this bucket's arity in the shard directory
     std::atomic<Node*> head{nullptr};
     std::atomic<BucketNode*> chain{nullptr};  // hash-slot chain link
+    std::atomic<BucketNode*> occ_next{nullptr};
+    BucketNode* occ_prev = nullptr;
     /// TupleId -> node (writer-only; O(1) erase).
     std::unordered_map<TupleId, Node*> position;
     /// hash(second field) -> ids; empty for arity < 2 buckets (writer-only
@@ -285,6 +331,7 @@ class Dataspace {
   /// sharing it with writer-updated counters would bounce the line.
   struct Shard {
     std::atomic<Table*> table{nullptr};
+    std::atomic<ArityEntry*> arities{nullptr};  // directory, newest first
     std::size_t bucket_nodes = 0;  // writer-only: BucketNodes ever created
     alignas(64) std::atomic<std::uint64_t> version{0};
     alignas(64) std::atomic<std::uint64_t> next_sequence{1};
@@ -292,6 +339,7 @@ class Dataspace {
     std::atomic<std::uint64_t> asserts{0};
     std::atomic<std::uint64_t> retracts{0};
     std::atomic<std::uint64_t> scanned{0};
+    std::atomic<std::uint64_t> visited{0};  // buckets, bumped like scanned
 
     static void bump(std::atomic<std::uint64_t>& c, std::uint64_t by = 1) {
       c.store(c.load(std::memory_order_relaxed) + by, std::memory_order_relaxed);
@@ -315,8 +363,20 @@ class Dataspace {
   /// Writer-only: find-or-create, growing the table at load factor 1.
   BucketNode* ensure_bucket(Shard& shard, const IndexKey& key);
 
-  /// Writer-only: link a fresh node at the bucket's head (release-publish).
+  /// Directory lookup (readers and writers alike); null if the shard has
+  /// never held a bucket of `arity`.
+  [[nodiscard]] static ArityEntry* find_arity(const Shard& shard,
+                                              std::uint32_t arity);
+
+  /// Writer-only: link a fresh node at the bucket's head (release-publish),
+  /// and the bucket into its occupancy list if it was empty.
   Node* link_record(BucketNode& bucket, Record rec);
+
+  /// Visits the records of every bucket on `list` until fn returns false
+  /// (then returns false). Bumps `visited` per bucket entered, and
+  /// `scanned` per record when `count_records`.
+  static bool walk_occupied(const Shard& shard, const ArityEntry& list,
+                            const RecordFn& fn, bool count_records);
 
   std::unique_ptr<Shard[]> shards_;  // Shard is immovable (atomics)
   std::size_t shard_count_;

@@ -3,13 +3,20 @@
 #include <algorithm>
 
 namespace sdl {
-namespace {
 
-void remove_ticket(std::vector<WaitSet::Ticket>& v, WaitSet::Ticket t) {
-  v.erase(std::remove(v.begin(), v.end(), t), v.end());
+void WaitSet::join(Bucket& bucket, Ticket ticket, Entry& entry) {
+  bucket.push_back(Member{ticket, static_cast<std::uint32_t>(entry.pos.size())});
+  entry.pos.push_back(bucket.size() - 1);
 }
 
-}  // namespace
+void WaitSet::leave(Bucket& bucket, std::size_t index) {
+  if (index + 1 != bucket.size()) {
+    const Member moved = bucket.back();
+    bucket[index] = moved;
+    entries_.at(moved.ticket).pos[moved.slot] = index;
+  }
+  bucket.pop_back();
+}
 
 WaitSet::Ticket WaitSet::subscribe(Interest interest, std::function<void()> wake,
                                    bool* saturated) {
@@ -22,21 +29,25 @@ WaitSet::Ticket WaitSet::subscribe(Interest interest, std::function<void()> wake
   std::scoped_lock lock(mutex_);
   live_subscribers_.fetch_add(1, std::memory_order_release);
   const Ticket ticket = next_ticket_++;
-  if (interest.everything) {
-    all_.push_back(ticket);
+  Entry& entry =
+      entries_.emplace(ticket, Entry{std::move(interest), std::move(wake), {}})
+          .first->second;
+  if (entry.interest.everything) {
+    join(all_, ticket, entry);
   } else {
-    for (const IndexKey& k : interest.keys) {
-      std::vector<Ticket>& bucket = by_key_[k];
+    for (const IndexKey& k : entry.interest.keys) {
+      Bucket& bucket = by_key_[k];
       if (cap != 0 && bucket.size() >= cap) {
         if (saturated != nullptr) *saturated = true;
         overload_->stats().park_saturated.fetch_add(1,
                                                     std::memory_order_relaxed);
       }
-      bucket.push_back(ticket);
+      join(bucket, ticket, entry);
     }
-    for (std::uint32_t a : interest.arities) by_arity_[a].push_back(ticket);
+    for (std::uint32_t a : entry.interest.arities) {
+      join(by_arity_[a], ticket, entry);
+    }
   }
-  entries_.emplace(ticket, Entry{std::move(interest), std::move(wake)});
   return ticket;
 }
 
@@ -45,23 +56,22 @@ void WaitSet::unsubscribe(Ticket ticket) {
   std::scoped_lock lock(mutex_);
   auto it = entries_.find(ticket);
   if (it == entries_.end()) return;
-  const Interest& interest = it->second.interest;
-  if (interest.everything) {
-    remove_ticket(all_, ticket);
+  const Entry& entry = it->second;
+  // Members leave in join order; a member of this same ticket that moves
+  // into a vacated index has its pos fixed before its own turn comes.
+  std::size_t slot = 0;
+  if (entry.interest.everything) {
+    leave(all_, entry.pos[slot++]);
   } else {
-    for (const IndexKey& k : interest.keys) {
+    for (const IndexKey& k : entry.interest.keys) {
       auto kit = by_key_.find(k);
-      if (kit != by_key_.end()) {
-        remove_ticket(kit->second, ticket);
-        if (kit->second.empty()) by_key_.erase(kit);
-      }
+      leave(kit->second, entry.pos[slot++]);
+      if (kit->second.empty()) by_key_.erase(kit);
     }
-    for (std::uint32_t a : interest.arities) {
+    for (std::uint32_t a : entry.interest.arities) {
       auto ait = by_arity_.find(a);
-      if (ait != by_arity_.end()) {
-        remove_ticket(ait->second, ticket);
-        if (ait->second.empty()) by_arity_.erase(ait);
-      }
+      leave(ait->second, entry.pos[slot++]);
+      if (ait->second.empty()) by_arity_.erase(ait);
     }
   }
   entries_.erase(it);
@@ -117,19 +127,20 @@ void WaitSet::publish_batch(std::vector<IndexKey> touched) {
     const bool everyone = wake_everyone || policy() == WakePolicy::WakeAll;
     std::vector<Ticket> tickets;
     if (!everyone) {
-      tickets.assign(all_.begin(), all_.end());
+      auto collect = [&tickets](const Bucket& bucket) {
+        for (const Member& m : bucket) tickets.push_back(m.ticket);
+      };
+      collect(all_);
       std::uint32_t last_arity = 0;
       bool have_arity = false;
       for (const IndexKey& k : touched) {
-        if (auto it = by_key_.find(k); it != by_key_.end()) {
-          tickets.insert(tickets.end(), it->second.begin(), it->second.end());
-        }
+        if (auto it = by_key_.find(k); it != by_key_.end()) collect(it->second);
         // touched is sorted by arity: probe by_arity_ once per arity run.
         if (have_arity && k.arity == last_arity) continue;
         last_arity = k.arity;
         have_arity = true;
         if (auto it = by_arity_.find(k.arity); it != by_arity_.end()) {
-          tickets.insert(tickets.end(), it->second.begin(), it->second.end());
+          collect(it->second);
         }
       }
       // A waiter subscribed to several touched keys is woken once.

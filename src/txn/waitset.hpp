@@ -104,10 +104,29 @@ class WaitSet {
   void set_overload(control::OverloadControl* c) { overload_ = c; }
 
  private:
+  /// One ticket's place in a subscriber bucket. `slot` indexes the
+  /// ticket's Entry::pos, which holds this member's index in the bucket.
+  struct Member {
+    Ticket ticket;
+    std::uint32_t slot;
+  };
+  using Bucket = std::vector<Member>;
+
+  /// A subscription. `pos[j]` is the index of its j-th Member: j walks
+  /// interest.keys then interest.arities (or is the one all_ member when
+  /// interest.everything). Unsubscribe swap-removes each member and fixes
+  /// the index of the member that moved, so retiring a ticket costs O(1)
+  /// per bucket however many waiters share it.
   struct Entry {
     Interest interest;
     std::function<void()> wake;
+    std::vector<std::size_t> pos;
   };
+
+  /// Appends `ticket`'s next member to `bucket`, recording its index.
+  static void join(Bucket& bucket, Ticket ticket, Entry& entry);
+  /// Swap-removes the member at `index` (caller holds mutex_).
+  void leave(Bucket& bucket, std::size_t index);
 
   std::atomic<WakePolicy> policy_;
   std::atomic<std::uint64_t> version_{0};
@@ -119,11 +138,11 @@ class WaitSet {
   /// it — measured as the scaling ceiling in experiment E6).
   std::atomic<std::size_t> live_subscribers_{0};
 
-  mutable std::mutex mutex_;  // guards the three maps below
+  mutable std::mutex mutex_;  // guards the maps and all_ below
   std::unordered_map<Ticket, Entry> entries_;
-  std::unordered_map<IndexKey, std::vector<Ticket>, IndexKeyHash> by_key_;
-  std::unordered_map<std::uint32_t, std::vector<Ticket>> by_arity_;
-  std::vector<Ticket> all_;
+  std::unordered_map<IndexKey, Bucket, IndexKeyHash> by_key_;
+  std::unordered_map<std::uint32_t, Bucket> by_arity_;
+  Bucket all_;
   Ticket next_ticket_ = 1;
 };
 

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include "core/epoch.hpp"
 
 namespace sdl {
 namespace {
@@ -261,6 +268,134 @@ TEST(DataspaceTest, ManyDistinctHeadsSpreadOverShards) {
   }
   EXPECT_GT(shards.size(), 4u) << "shard distribution is degenerate";
 }
+
+TEST(DataspaceTest, ArityScanSkipsEmptiedBuckets) {
+  // A drained Sum3-like space: 4096 distinct heads, all but two consumed.
+  // The 4094 emptied buckets stay allocated as tombstones; head-blind
+  // scans must walk only the occupied ones.
+  Dataspace d(64);
+  epoch::Guard guard;
+  std::vector<std::pair<IndexKey, TupleId>> placed;
+  for (int i = 0; i < 4096; ++i) {
+    const Tuple t = tup(i, i);
+    placed.emplace_back(IndexKey::of(t), d.insert(t, 0));
+  }
+  d.insert(tup("wide", 1, 2), 0);
+  for (std::size_t i = 2; i < placed.size(); ++i) {
+    ASSERT_TRUE(d.erase(placed[i].first, placed[i].second));
+  }
+
+  std::uint64_t before = d.stats().buckets_visited;
+  int seen = 0;
+  d.scan_arity(2, [&](const Record&) {
+    ++seen;
+    return false;
+  });
+  EXPECT_EQ(seen, 1);
+  EXPECT_LE(d.stats().buckets_visited - before, 2u);
+
+  before = d.stats().buckets_visited;
+  seen = 0;
+  d.scan_arity(2, [&](const Record& r) {
+    EXPECT_EQ(r.tuple.arity(), 2u);
+    ++seen;
+    return true;
+  });
+  EXPECT_EQ(seen, 2);
+  EXPECT_EQ(d.stats().buckets_visited - before, 2u);
+
+  before = d.stats().buckets_visited;
+  seen = 0;
+  d.scan_all([&](const Record&) {
+    ++seen;
+    return true;
+  });
+  EXPECT_EQ(seen, 3);
+  EXPECT_EQ(d.stats().buckets_visited - before, 3u);
+}
+
+// Seeded random insert/erase/restore runs over few shards and many heads,
+// so buckets empty, revive and the per-shard tables grow several times.
+// After every step scan_arity (each arity) and scan_all must return
+// exactly the reference multiset.
+class DataspaceChurnProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DataspaceChurnProperty, ScansMatchReferenceMultiset) {
+  constexpr std::uint32_t kMaxArity = 4;
+  std::mt19937_64 rng(GetParam());
+  auto below = [&](std::uint64_t n) { return rng() % n; };
+  Dataspace d(4);
+  epoch::Guard guard;
+  using Rows = std::vector<std::pair<TupleId, Tuple>>;
+  std::map<TupleId, Tuple> live;
+  Rows erased;
+
+  auto sorted = [](Rows v) {
+    std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    return v;
+  };
+  auto check = [&](int step) {
+    Rows all;
+    d.scan_all([&](const Record& r) {
+      all.emplace_back(r.id, r.tuple);
+      return true;
+    });
+    ASSERT_EQ(sorted(all), Rows(live.begin(), live.end()))
+        << "scan_all diverged at step " << step;
+    for (std::uint32_t a = 0; a <= kMaxArity; ++a) {
+      Rows got;
+      d.scan_arity(a, [&](const Record& r) {
+        got.emplace_back(r.id, r.tuple);
+        return true;
+      });
+      Rows want;
+      for (const auto& [id, t] : live) {
+        if (t.arity() == a) want.emplace_back(id, t);
+      }
+      ASSERT_EQ(sorted(got), want)
+          << "scan_arity(" << a << ") diverged at step " << step;
+    }
+  };
+
+  for (int step = 0; step < 1500; ++step) {
+    const std::uint64_t op = below(10);
+    if (op < 5 || live.empty()) {
+      // Half the inserts land on a few hot heads (buckets that fill,
+      // empty and revive), half on a wide range (tombstones, growth).
+      const std::uint64_t heads = below(2) == 0 ? 6 : 400;
+      const auto arity = static_cast<std::uint32_t>(below(kMaxArity + 1));
+      std::vector<Value> fields;
+      for (std::uint32_t f = 0; f < arity; ++f) {
+        fields.emplace_back(static_cast<std::int64_t>(
+            f == 0 ? below(heads) : below(3)));
+      }
+      Tuple t(std::move(fields));
+      const TupleId id = d.insert(t, 1);
+      live.emplace(id, std::move(t));
+    } else if (op < 9 || erased.empty()) {
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(below(live.size())));
+      ASSERT_TRUE(d.erase(IndexKey::of(it->second), it->first));
+      erased.emplace_back(it->first, it->second);
+      live.erase(it);
+    } else {
+      const std::size_t k = below(erased.size());
+      std::swap(erased[k], erased.back());
+      auto [id, t] = std::move(erased.back());
+      erased.pop_back();
+      d.restore(t, id);
+      live.emplace(id, std::move(t));
+    }
+    check(step);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(d.size(), live.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DataspaceChurnProperty,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
 }  // namespace
 }  // namespace sdl

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <thread>
 
 #include "core/epoch.hpp"
@@ -280,6 +281,87 @@ TEST_F(OptimisticReadTest, ScanStormOverChurningBucketIsMemorySafe) {
   // Retract storm over: grace periods expire once the threads quiesce.
   epoch::drain();
   EXPECT_EQ(epoch::backlog(), 0u);
+}
+
+TEST_F(OptimisticReadTest, ArityScanOverFlippingBucketsIsConsistent) {
+  // Each writer owns a ring of distinct-head cells [c, v] holding ONE
+  // token, and moves it one cell on per transaction (retract [c, v] and
+  // assert [c+1, v] in one commit): every move empties one bucket and
+  // fills another, so buckets keep leaving and re-entering their shard's
+  // occupancy list under concurrent head-blind readers. A read-only
+  // ForAll over [c, v] is an arity-wide scan on the optimistic path;
+  // every read that validates (or falls back) must see every token
+  // exactly once.
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 3;
+  constexpr int kCells = 24;
+  constexpr int kStatic = 256;
+  constexpr int kMoves = 2000;
+  constexpr int kMinScans = 200;
+  for (int i = 0; i < kStatic; ++i) space.insert(tup(-1 - i, 0), 0);
+  std::int64_t total = 0;
+  for (int w = 0; w < kWriters; ++w) {
+    space.insert(tup(1000 * (w + 1), 7 * (w + 1)), 0);
+    total += 7 * (w + 1);
+  }
+  std::atomic<int> writers_done{0};
+  std::latch start(kWriters + kReaders);
+  {
+    std::vector<std::jthread> workers;
+    for (int w = 0; w < kWriters; ++w) {
+      workers.emplace_back([&, w] {
+        SymbolTable st;
+        Env env;
+        std::vector<Transaction> hop;
+        for (int c = 0; c < kCells; ++c) {
+          const std::int64_t from = 1000 * (w + 1) + c;
+          const std::int64_t to = 1000 * (w + 1) + (c + 1) % kCells;
+          hop.push_back(prep(TxnBuilder(TxnType::Delayed)
+                                 .exists({"v"})
+                                 .match(pat({C(Value(from)), V("v")}), true)
+                                 .assert_tuple({lit(Value(to)), evar("v")}),
+                             st, env));
+        }
+        start.arrive_and_wait();
+        for (int i = 0; i < kMoves; ++i) {
+          ASSERT_TRUE(execute_blocking(engine,
+                                       hop[static_cast<std::size_t>(i % kCells)],
+                                       env, static_cast<ProcessId>(w + 1))
+                          .success);
+        }
+        writers_done.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    for (int t = 0; t < kReaders; ++t) {
+      workers.emplace_back([&, t] {
+        SymbolTable st;
+        Env env;
+        Transaction scan = prep(
+            TxnBuilder().forall({"c", "v"}).match(pat({V("c"), V("v")})), st,
+            env);
+        const auto slot = static_cast<std::size_t>(*st.lookup("v"));
+        start.arrive_and_wait();
+        // Scan for as long as writers run (and at least kMinScans times).
+        for (int i = 0;
+             i < kMinScans ||
+             writers_done.load(std::memory_order_relaxed) < kWriters;
+             ++i) {
+          const TxnResult r = engine.execute(
+              scan, env, static_cast<ProcessId>(kWriters + t + 1));
+          ASSERT_TRUE(r.success);
+          ASSERT_EQ(r.matches.size(),
+                    static_cast<std::size_t>(kWriters + kStatic))
+              << "a scan missed or repeated a bucket";
+          std::int64_t sum = 0;
+          for (const QueryMatch& m : r.matches) sum += m.binding[slot].as_int();
+          ASSERT_EQ(sum, total) << "a scan saw an inconsistent token total";
+        }
+      });
+    }
+  }
+  EXPECT_GT(engine.stats().read_optimistic.load(), 0u)
+      << "no read validated on the lock-free path";
+  EXPECT_EQ(space.size(), static_cast<std::size_t>(kWriters + kStatic));
 }
 
 TEST_F(OptimisticReadTest, TeardownDrainsRetiredNodes) {

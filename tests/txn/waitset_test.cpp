@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <thread>
 
 namespace sdl {
@@ -130,6 +132,46 @@ TEST(WaitSetTest, ManySubscribersOnlyMatchingWake) {
   }
   EXPECT_EQ(ws.wakes_delivered(), 1u);
   for (const auto t : tickets) ws.unsubscribe(t);
+}
+
+TEST(WaitSetTest, SharedBucketsSurviveOutOfOrderUnsubscribes) {
+  // Many waiters share one exact key and one arity (some list the key
+  // twice, as a sweep over two same-key guards does, some listen to
+  // everything); retiring them in shuffled order must leave exactly the
+  // survivors wakeable, each once per publish.
+  WaitSet ws;
+  constexpr int kWaiters = 64;
+  std::vector<int> woken(kWaiters, 0);
+  std::vector<WaitSet::Ticket> tickets;
+  const IndexKey hot = key_of("hot", 2);
+  for (int i = 0; i < kWaiters; ++i) {
+    WaitSet::Interest interest;
+    if (i % 7 == 0) {
+      interest.everything = true;
+    } else {
+      interest.keys = {hot};
+      if (i % 2 == 0) interest.keys.push_back(hot);
+      if (i % 3 == 0) interest.arities = {2};
+    }
+    tickets.push_back(ws.subscribe(
+        interest, [&woken, i] { ++woken[static_cast<std::size_t>(i)]; }));
+  }
+  std::vector<int> order(kWaiters);
+  for (int i = 0; i < kWaiters; ++i) order[static_cast<std::size_t>(i)] = i;
+  std::shuffle(order.begin(), order.end(), std::mt19937(7));
+  std::vector<bool> live(kWaiters, true);
+  for (std::size_t n = 0; n < order.size(); ++n) {
+    const auto victim = static_cast<std::size_t>(order[n]);
+    ws.unsubscribe(tickets[victim]);
+    live[victim] = false;
+    std::fill(woken.begin(), woken.end(), 0);
+    ws.publish({hot});
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      ASSERT_EQ(woken[i], live[i] ? 1 : 0)
+          << "waiter " << i << " after " << n + 1 << " unsubscribes";
+    }
+  }
+  EXPECT_EQ(ws.subscriber_count(), 0u);
 }
 
 }  // namespace

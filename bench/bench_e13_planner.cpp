@@ -16,9 +16,9 @@
 // evaluator) vs the tree-walking join interpreter kept as the test oracle
 // (tests/oracle, sdl::oracle::evaluate), on a guard-heavy all-reject
 // sweep — the shape where per-candidate expression-tree walking
-// dominates. run_benches.sh --check gates BM_GuardHeavyInterpreted /
-// BM_GuardHeavyCompiled at >= SDL_E13_GATE (2x) on the largest shape,
-// again self-relative.
+// dominates. run_benches.py --check gates BM_GuardHeavyInterpreted /
+// BM_GuardHeavyCompiled at >= 2x on the largest shape, again
+// self-relative.
 #include <benchmark/benchmark.h>
 
 #include "oracle/join_interpreter.hpp"

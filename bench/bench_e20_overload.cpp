@@ -30,7 +30,7 @@
 //   * offered_per_sec / goodput_per_sec — the degradation curve;
 //   * goodput_vs_peak — this row's goodput relative to the best row seen
 //     so far (the 200%-row value is the plateau gate: >= 0.7 required by
-//     run_benches.sh --check and CI);
+//     run_benches.py --check and CI);
 //   * shed_admission / shed_stale — where the excess load went;
 //   * p50_ms / p99_ms — completion latency from scheduled arrival;
 //   * sheds_total — the runtime's own sdl_admission_shed_total counter

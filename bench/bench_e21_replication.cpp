@@ -5,8 +5,8 @@
 // follower sessions on their own threads — a committer never waits on a
 // follower (only the explicit max_lag_bytes backpressure dial couples
 // them, and it is off here). So leader commit throughput with followers
-// attached must stay within SDL_E21_GATE (default 10%) of the same
-// runtime with replication off.
+// attached must stay within 10% of the same runtime with replication
+// off (run_benches.py --check).
 //
 // Shape: the E5/E18 read-modify-write commit (∃x : <job,x>! → (job,x+1)),
 // durability on at fsync_every=8 (the group-commit dial), arg0 = number

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <functional>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "consensus/consensus.hpp"
@@ -1176,8 +1178,17 @@ TxnResult Scheduler::execute_engine(Process& p, const Transaction& txn) {
   return r;
 }
 
-void Scheduler::ensure_subscription(Process& p, WaitSet::Interest interest) {
+template <typename Guards, typename Proj>
+void Scheduler::ensure_subscription(Process& p, const Guards& guards, Proj guard) {
+  // A live ticket is a recheck after a wake: keep it and build no interest.
   if (p.ticket != WaitSet::kInvalidTicket) return;
+  WaitSet::Interest interest;
+  for (const auto& g : guards) {
+    WaitSet::Interest one = engine_.interest_of(std::invoke(guard, g), p.env);
+    interest.keys.insert(interest.keys.end(), one.keys.begin(), one.keys.end());
+    interest.arities.insert(interest.arities.end(), one.arities.begin(),
+                            one.arities.end());
+  }
   const ProcessId pid = p.pid;
   p.interest = interest;  // diagnosis copy (wait-for reports)
   bool saturated = false;
@@ -1274,7 +1285,7 @@ Scheduler::StepOutcome Scheduler::do_transaction(Process& p,
       // probe still wakes us (no lost wakeup). Read-only transactions
       // skip the probe: their execute() is already the shared-lock path.
       const bool recheck = p.ticket != WaitSet::kInvalidTicket;
-      ensure_subscription(p, engine_.interest_of(txn, p.env));
+      ensure_subscription(p, std::span(&txn, 1), std::identity{});
       sim_note_txn(txn, p.env);
       if (recheck && !txn.is_read_only() &&
           !engine_.probe(txn, p.env, p.view_ptr())) {
@@ -1311,7 +1322,7 @@ Scheduler::StepOutcome Scheduler::do_transaction(Process& p,
         if (c == ControlAction::Abort) return handle_abort(p);
         return StepOutcome::Continue;
       }
-      ensure_subscription(p, engine_.interest_of(txn, p.env));
+      ensure_subscription(p, std::span(&txn, 1), std::identity{});
       sim_note_txn(txn, p.env);
       p.offers = {ConsensusOffer{&txn, -1}};
       p.park_reason = ParkReason::Consensus;
@@ -1364,16 +1375,7 @@ Scheduler::StepOutcome Scheduler::do_selection(Process& p, Frame& f) {
       break;
     }
   }
-  if (has_blocking && p.ticket == WaitSet::kInvalidTicket) {
-    WaitSet::Interest interest;
-    for (const Branch& b : branches) {
-      WaitSet::Interest one = engine_.interest_of(b.guard, p.env);
-      interest.keys.insert(interest.keys.end(), one.keys.begin(), one.keys.end());
-      interest.arities.insert(interest.arities.end(), one.arities.begin(),
-                              one.arities.end());
-    }
-    ensure_subscription(p, std::move(interest));
-  }
+  if (has_blocking) ensure_subscription(p, branches, &Branch::guard);
 
   // 3. Try every non-consensus guard once, in order.
   bool saw_injected = false;
@@ -1503,18 +1505,8 @@ Scheduler::StepOutcome Scheduler::do_sweep(Process& p, Frame& f) {
   ReplicationGroup* group = p.group.get();
   const std::vector<Branch>& branches = f.stmt->branches;
 
-  // A sweeping replicant keeps its ticket across sweeps: build the
-  // interest only when it has none.
-  if (p.ticket == WaitSet::kInvalidTicket) {
-    WaitSet::Interest interest;
-    for (const Branch& b : branches) {
-      WaitSet::Interest one = engine_.interest_of(b.guard, p.env);
-      interest.keys.insert(interest.keys.end(), one.keys.begin(), one.keys.end());
-      interest.arities.insert(interest.arities.end(), one.arities.begin(),
-                              one.arities.end());
-    }
-    ensure_subscription(p, std::move(interest));
-  }
+  // A sweeping replicant keeps its ticket across sweeps.
+  ensure_subscription(p, branches, &Branch::guard);
 
   TxnResult r;
   bool saw_injected = false;

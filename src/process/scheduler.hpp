@@ -217,7 +217,11 @@ class Scheduler {
   /// Unwinds frames for `exit`; returns Done if the stack emptied.
   StepOutcome handle_exit(Process& p);
   StepOutcome handle_abort(Process& p);
-  void ensure_subscription(Process& p, WaitSet::Interest interest);
+  /// Subscribes `p` to the union of the wake interests of `guards`, each
+  /// projected to its Transaction by `guard`. A no-op while `p` holds a
+  /// ticket, so a recheck after a wake builds no interest.
+  template <typename Guards, typename Proj>
+  void ensure_subscription(Process& p, const Guards& guards, Proj guard);
   void drop_subscription(Process& p);
 
   TxnResult execute_engine(Process& p, const Transaction& txn);

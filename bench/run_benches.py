@@ -65,6 +65,9 @@ class Gate:
     ratios: tuple[Ratio, ...] = ()
 
 
+E20_2X = r"/200(/|$)"  # offered load at 200% of saturation
+FOLLOWERS = r"/[1-9]"  # E21 rows with followers attached
+
 # The gates, in run order. E13's columns are ablations (its naive full scan
 # is bimodal under cache pressure), so its signal is the ratio, not a band.
 GATES = (
@@ -73,26 +76,28 @@ GATES = (
          columns=(("Sharded", ("scaling_eff", "vs_global_t1")),),
          # Read-only transactions never publish.
          equal=(("version", "writes"),),
+         # T threads need T cores.
          ratios=(Ratio("Sharded", "scaling_eff", 0.25, cores=(2, 0),
                        why="sharded engine stopped scaling"),)),
     Gate("bench_e20_overload",
-         columns=((r"/200(/|$)", ("goodput_vs_peak", "sheds_total")),),
-         ratios=(Ratio(r"/200(/|$)", "goodput_vs_peak", 0.7, required=True,
+         columns=((E20_2X, ("goodput_vs_peak", "sheds_total")),),
+         ratios=(Ratio(E20_2X, "goodput_vs_peak", 0.7, required=True,
                        why="degradation curve is a cliff, not a plateau"),
-                 Ratio(r"/200(/|$)", "sheds_total", 1, required=True,
+                 Ratio(E20_2X, "sheds_total", 1, required=True,
                        why="admission never shed at 2x, plateau untested"))),
     Gate("bench_e13_planner", "BENCH_e13_baseline.json",
          ratios=(Ratio("^BM_GuardHeavyInterpreted/16384$", "real_time", 2.0,
                        over="BM_GuardHeavyCompiled/16384", required=True,
-                       why="compiled tier no faster than the interpreter"),)),
+                       why="compiled tier lost its lead"),)),
     Gate("bench_e5_dataspace", "BENCH_e5_baseline.json",
          band=("real_time", False)),
     Gate("bench_e21_replication", "BENCH_e21_baseline.json",
          band=("real_time", False),
          columns=(("", ("ops_per_sec", "lag_records", "lag_ms", "applied")),
-                  (r"/[1-9]", ("vs_0f",))),
-         ratios=(Ratio(r"/[1-9]", "applied", 1, why="replication never ran"),
-                 Ratio(r"/[1-9]", "vs_0f", 0.90, cores=(1, 1),
+                  (FOLLOWERS, ("vs_0f",))),
+         # F followers need F cores beside the leader's.
+         ratios=(Ratio(FOLLOWERS, "applied", 1, why="replication never ran"),
+                 Ratio(FOLLOWERS, "vs_0f", 0.90, cores=(1, 1),
                        why="shipping is on the commit path"))),
 )
 

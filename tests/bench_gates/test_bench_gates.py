@@ -129,7 +129,7 @@ class BenchGates(unittest.TestCase):
         self.assert_verdict(self.run_gate(E13, slow), 1,
             "FAIL: BM_GuardHeavyInterpreted/16384: real_time / "
             "BM_GuardHeavyCompiled/16384 1.500 below gate 2 (compiled tier "
-            "no faster than the interpreter)")
+            "lost its lead)")
 
     def test_e20_plateau_gate(self):
         def cliff(d):

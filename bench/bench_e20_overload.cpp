@@ -1,7 +1,7 @@
-// E20 (overload degradation curve): admission control, retry budgets and
-// graceful degradation under open-loop load.
+// E20 (overload degradation curve): admission control and graceful
+// degradation under open-loop load.
 //
-// Claim under test: with the overload layer armed, pushing offered load
+// Claim under test: with the admission gate armed, pushing offered load
 // past saturation must NOT collapse goodput — the degradation curve
 // plateaus because excess arrivals are shed early (admission gate, stale
 // drops) instead of queueing into work the system can no longer finish in
@@ -81,12 +81,8 @@ int client_threads() {
 RuntimeOptions overload_options(int threads) {
   RuntimeOptions opts;
   // Admission gate below the client count so saturation actually engages
-  // it; budget + breaker armed so the whole control layer is live.
-  opts.overload.max_inflight = std::max(1, threads / 2);
-  opts.overload.retry_after_us = 100;
-  opts.overload.retry_budget_cap = 64;
-  opts.overload.breaker_failure_threshold = 16;
-  opts.overload.epoch_backlog_threshold = 1 << 16;
+  // it.
+  opts.max_inflight = static_cast<std::size_t>(std::max(1, threads / 2));
   return opts;
 }
 
@@ -197,14 +193,13 @@ void BM_Overload(benchmark::State& state) {
   for (auto _ : state) {
     Runtime rt(overload_options(threads));
     seed_counters(rt);
-    // The overload gauges must be visible in the unified export — the
+    // The admission gauges must be visible in the unified export — the
     // operator-facing contract, checked here so a rename fails the bench.
     const std::string json = rt.metrics().to_json();
-    for (const char* name :
-         {"sdl_admission_shed_total", "sdl_retry_budget_tokens",
-          "sdl_breaker_state", "sdl_park_saturated_total"}) {
+    for (const char* name : {"sdl_admission_inflight", "sdl_admitted_total",
+                             "sdl_admission_shed_total"}) {
       if (json.find(name) == std::string::npos) {
-        state.SkipWithError("overload gauge missing from obs export");
+        state.SkipWithError("admission gauge missing from obs export");
         return;
       }
     }
@@ -261,7 +256,7 @@ void BM_Overload(benchmark::State& state) {
     completed += comp.load();
     shed_admission += adm.load();
     shed_stale += stale.load();
-    sheds_total += rt.overload()->stats().sheds.load();
+    sheds_total += rt.admission()->stats().sheds.load();
     for (auto& v : lat) {
       latencies_us.insert(latencies_us.end(), v.begin(), v.end());
     }

@@ -29,7 +29,6 @@ const char* fault_point_name(FaultPoint p) {
     case FaultPoint::WalAppend: return "wal-append";
     case FaultPoint::SnapshotWrite: return "snapshot-write";
     case FaultPoint::AdmissionShed: return "admission-shed";
-    case FaultPoint::RetryBudgetExhausted: return "retry-budget-exhausted";
     case FaultPoint::ReplSend: return "repl-send";
     case FaultPoint::ReplApply: return "repl-apply";
   }

@@ -48,12 +48,15 @@ enum class FaultPoint : std::uint8_t {
   ConsensusCommit,    // offers evaluated, composite effects not yet applied
   WalAppend,          // WAL writer framed the record, bytes not yet durable
   SnapshotWrite,      // snapshot payload serialized, file not yet renamed
-  AdmissionShed,      // overload gate consulted; any armed action forces a shed
-  RetryBudgetExhausted,  // retry budget consulted; any armed action denies it
-  ReplSend,           // leader tailer: batch framed, not yet handed to the
+  AdmissionShed,      // admission gate consulted; any armed action forces a shed
+  // 9 is retired (it was the deleted retry budget's point). ReplSend and
+  // ReplApply keep their values because each point's decision stream is
+  // seeded from its value: renumbering them would change every seed's
+  // replication chaos schedule.
+  ReplSend = 10,      // leader tailer: batch framed, not yet handed to the
                       // transport (Delay stalls the stream, Kill drops the
                       // session mid-stream — the follower must reconnect)
-  ReplApply,          // follower applier: batch decoded, not yet applied
+  ReplApply = 11,     // follower applier: batch decoded, not yet applied
                       // (FailCommit rejects it for redelivery, Kill tears
                       // the session down mid-apply)
 };

@@ -166,10 +166,6 @@ void PersistManager::set_metrics(obs::RuntimeMetrics* m) {
   wal_->set_metrics(m);
 }
 
-void PersistManager::set_overload(control::OverloadControl* c) {
-  wal_->set_overload(c);
-}
-
 void PersistManager::set_durable_listener(
     std::function<void(std::uint64_t)> fn) {
   wal_->set_durable_listener(std::move(fn));

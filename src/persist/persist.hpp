@@ -120,9 +120,6 @@ class PersistManager {
   /// disarms; also re-gated on the SDL_OBS runtime flag per operation).
   void set_metrics(obs::RuntimeMetrics* m);
 
-  /// Arms the overload layer's WAL group-commit batch cap (null disarms).
-  void set_overload(control::OverloadControl* c);
-
   /// Replication hook: fires on every durable-watermark advance (see
   /// WalWriter::set_durable_listener for the calling contract).
   void set_durable_listener(std::function<void(std::uint64_t)> fn);

@@ -398,32 +398,6 @@ std::uint64_t WalWriter::append(
   std::unique_lock lock(mutex_);
   if (dead_) return 0;
 
-  // Group-commit backpressure: past the byte cap the parked batch is
-  // memory growing at commit speed while draining at device speed — block
-  // this committer until the flusher catches up instead of queueing
-  // without bound. Checked BEFORE the frame is encoded into the shared
-  // scratch buffer: the wait releases mutex_, and another committer
-  // entering append() meanwhile would clobber the scratch. The flusher
-  // claims (clears) the batch under the mutex and signals done_cv_ after
-  // its flush, so the predicate drains promptly.
-  if (overload_ != nullptr && fsync_every_ > 1) {
-    const std::size_t cap = overload_->options().wal_max_batch_bytes;
-    if (cap != 0 && batch_.size() >= cap) {
-      overload_->stats().wal_waits.fetch_add(1, std::memory_order_relaxed);
-      // A loop, not a one-shot predicate wait: between the flusher's
-      // notify and this committer re-acquiring the mutex, its peers can
-      // refill the batch past the cap — each pass must re-request a
-      // flush, or the last sleeper wedges once those peers exit.
-      while (!dead_ && batch_.size() >= cap) {
-        flush_requested_ = true;
-        unsynced_ = 0;
-        cv_.notify_one();
-        done_cv_.wait(lock);
-      }
-      if (dead_) return 0;
-    }
-  }
-
   // Encode straight into the reused scratch buffer (its capacity sticks
   // across appends — the encode path is on every commit's critical
   // section, so allocations here are commit latency). The payload starts
@@ -472,8 +446,6 @@ std::uint64_t WalWriter::append(
                  file_off_);
         if (fd_ >= 0) ::fsync(fd_);
         dead_ = true;
-        // Committers blocked on the batch cap key off dead_ too.
-        done_cv_.notify_all();
         return 0;
       }
       default:
@@ -524,10 +496,9 @@ std::uint64_t WalWriter::append(
 std::uint64_t WalWriter::append_repl_mark(std::uint64_t mark) {
   std::unique_lock lock(mutex_);
   if (dead_ || mark == 0) return 0;
-  // Tiny metadata frame: skips the group-commit byte cap (a ~20-byte
-  // record cannot meaningfully grow the batch) and the WalAppend fault
-  // point (which targets commit appends). Ships through the same batch /
-  // write-through path so its durability order matches the data's.
+  // Tiny metadata frame: skips the WalAppend fault point (which targets
+  // commit appends). Ships through the same batch / write-through path so
+  // its durability order matches the data's.
   std::string& frame = frame_scratch_;
   frame.clear();
   frame.append(8, '\0');
@@ -584,7 +555,6 @@ void WalWriter::sync_locked(std::unique_lock<std::mutex>& lock) {
     ensure_capacity_locked(pending.size());
     if (!write_at(fd_, pending.data(), pending.size(), file_off_)) {
       dead_ = true;
-      done_cv_.notify_all();
       return;
     }
     file_off_ += pending.size();

@@ -55,7 +55,6 @@
 #include <utility>
 #include <vector>
 
-#include "control/overload.hpp"
 #include "core/tuple.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -199,12 +198,6 @@ class WalWriter {
   /// re-gated on the SDL_OBS runtime flag, once per append/flush).
   void set_metrics(obs::RuntimeMetrics* m) { metrics_ = m; }
 
-  /// Arms the overload layer's group-commit batch cap (null disables).
-  /// When the parked batch exceeds wal_max_batch_bytes, committers block
-  /// on the flusher instead of growing it — bounded memory and bounded
-  /// ack lag when the device cannot keep up with the commit rate.
-  void set_overload(control::OverloadControl* c) { overload_ = c; }
-
   /// Replication hook: `fn(durable_seq)` fires every time the durable
   /// watermark advances — after the group-commit flusher's fdatasync, an
   /// inline strict sync, or (fsync_every == 0, durability off) a plain
@@ -239,7 +232,6 @@ class WalWriter {
   const std::uint64_t origin_node_;
   FaultInjector* faults_ = nullptr;
   obs::RuntimeMetrics* metrics_ = nullptr;
-  control::OverloadControl* overload_ = nullptr;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;       // wakes the flusher at a batch boundary

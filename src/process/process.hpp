@@ -178,11 +178,6 @@ class Process {
   /// 0 = scheduler default for the park reason, < 0 = never, > 0 = that
   /// many ms. Consumed (and reset) by finalize_park.
   std::int64_t park_timeout_ms = 0;
-  /// The live subscription landed in a WaitSet bucket past the overload
-  /// layer's park cap: finalize_park forces a short deadline so the
-  /// watchdog sheds this park instead of letting the bucket queue grow.
-  /// Set by ensure_subscription, cleared with the subscription.
-  bool park_saturated = false;
 
   // --- teardown flags: set by kill()/watchdog, consumed by the worker
   //     that owns the process next (atomic so the interpreter can poll

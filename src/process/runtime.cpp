@@ -32,11 +32,9 @@ Runtime::Runtime(RuntimeOptions options)
   engine_->set_metrics(&metrics_);
   scheduler_->set_metrics(&metrics_);
   consensus_->set_metrics(&metrics_);
-  if (options_.overload.enabled()) {
-    overload_ = std::make_unique<control::OverloadControl>(options_.overload);
-    engine_->set_overload(overload_.get());
-    waits_.set_overload(overload_.get());
-    scheduler_->set_overload(overload_.get());
+  if (options_.max_inflight != 0) {
+    admission_ =
+        std::make_unique<control::AdmissionGate>(options_.max_inflight);
   }
   register_gauges();
   if (options_.persist.enabled()) {
@@ -48,7 +46,6 @@ Runtime::Runtime(RuntimeOptions options)
     persist::apply(space_, persist_mgr_->recovered());
     engine_->set_persist(persist_mgr_.get());
     persist_mgr_->set_metrics(&metrics_);
-    if (overload_) persist_mgr_->set_overload(overload_.get());
   }
   if (options_.repl.enabled()) {
     if (options_.repl.role == repl::Role::Leader) {
@@ -120,38 +117,15 @@ void Runtime::register_gauges() {
   metrics_registry_.gauge("sdl_plan_cache_invalidations_total", [] {
     return plan_cache_stats().invalidations.load(std::memory_order_relaxed);
   });
-  if (overload_) {
-    control::OverloadControl* const c = overload_.get();
+  if (admission_) {
+    control::AdmissionGate* const g = admission_.get();
     metrics_registry_.gauge("sdl_admission_inflight",
-                            [c] { return c->inflight(); });
-    metrics_registry_.gauge("sdl_admitted_total", [c] {
-      return c->stats().admitted.load(std::memory_order_relaxed);
+                            [g] { return g->inflight(); });
+    metrics_registry_.gauge("sdl_admitted_total", [g] {
+      return g->stats().admitted.load(std::memory_order_relaxed);
     });
-    metrics_registry_.gauge("sdl_admission_shed_total", [c] {
-      return c->stats().sheds.load(std::memory_order_relaxed);
-    });
-    metrics_registry_.gauge("sdl_retry_budget_tokens",
-                            [c] { return c->retry_tokens(); });
-    metrics_registry_.gauge("sdl_retry_spent_total", [c] {
-      return c->stats().retry_spent.load(std::memory_order_relaxed);
-    });
-    metrics_registry_.gauge("sdl_retry_denied_total", [c] {
-      return c->stats().retry_denied.load(std::memory_order_relaxed);
-    });
-    metrics_registry_.gauge(
-        "sdl_breaker_state",
-        [c] { return static_cast<std::uint64_t>(c->breaker_state()); });
-    metrics_registry_.gauge("sdl_breaker_trips_total", [c] {
-      return c->stats().breaker_trips.load(std::memory_order_relaxed);
-    });
-    metrics_registry_.gauge("sdl_wal_backpressure_waits_total", [c] {
-      return c->stats().wal_waits.load(std::memory_order_relaxed);
-    });
-    metrics_registry_.gauge("sdl_park_saturated_total", [c] {
-      return c->stats().park_saturated.load(std::memory_order_relaxed);
-    });
-    metrics_registry_.gauge("sdl_epoch_forced_drains_total", [c] {
-      return c->stats().forced_drains.load(std::memory_order_relaxed);
+    metrics_registry_.gauge("sdl_admission_shed_total", [g] {
+      return g->stats().sheds.load(std::memory_order_relaxed);
     });
   }
 }
@@ -171,12 +145,6 @@ void Runtime::register_repl_gauges() {
                             [l] { return l->stats().sessions_started; });
     metrics_registry_.gauge("sdl_repl_backpressure_total",
                             [l] { return l->stats().backpressure_hits; });
-    if (overload_) {
-      control::OverloadControl* const c = overload_.get();
-      metrics_registry_.gauge("sdl_repl_write_sheds_total", [c] {
-        return c->stats().repl_backpressure.load(std::memory_order_relaxed);
-      });
-    }
   }
   if (repl_follower_) {
     repl::ReplFollower* const f = repl_follower_.get();
@@ -209,7 +177,7 @@ FaultInjector& Runtime::enable_faults(std::uint64_t seed) {
     scheduler_->set_fault_injector(faults_.get());
     consensus_->set_fault_injector(faults_.get());
     if (persist_mgr_) persist_mgr_->set_fault_injector(faults_.get());
-    if (overload_) overload_->set_fault_injector(faults_.get());
+    if (admission_) admission_->set_fault_injector(faults_.get());
     if (repl_leader_) repl_leader_->set_fault_injector(faults_.get());
     if (repl_follower_) repl_follower_->set_fault_injector(faults_.get());
   }
@@ -223,7 +191,7 @@ void Runtime::disable_faults() {
   scheduler_->set_fault_injector(nullptr);
   consensus_->set_fault_injector(nullptr);
   if (persist_mgr_) persist_mgr_->set_fault_injector(nullptr);
-  if (overload_) overload_->set_fault_injector(nullptr);
+  if (admission_) admission_->set_fault_injector(nullptr);
   if (repl_leader_) repl_leader_->set_fault_injector(nullptr);
   if (repl_follower_) repl_follower_->set_fault_injector(nullptr);
   faults_.reset();
@@ -354,9 +322,9 @@ namespace {
 /// Pairs every admitted execute() with exactly one release, on every exit
 /// path (success, failure, exception from a host function).
 struct AdmissionGuard {
-  control::OverloadControl* ctl;
+  control::AdmissionGate* gate;
   ~AdmissionGuard() {
-    if (ctl != nullptr) ctl->release();
+    if (gate != nullptr) gate->release();
   }
 };
 }  // namespace
@@ -373,10 +341,7 @@ TxnResult Runtime::execute(const Transaction& txn, Env& env, ProcessId owner) {
     if (repl_leader_ && repl_leader_->lag_exceeded()) {
       // Followers are past the byte-lag cap: shed the write instead of
       // letting them fall unboundedly behind (RetryAfter outcome).
-      if (overload_) {
-        overload_->stats().repl_backpressure.fetch_add(
-            1, std::memory_order_relaxed);
-      }
+      // lag_exceeded() counts the shed in sdl_repl_backpressure_total.
       TxnResult shed;
       shed.shed = true;
       shed.retry_after_us = options_.repl.poll_interval_ms * 1000;
@@ -384,9 +349,9 @@ TxnResult Runtime::execute(const Transaction& txn, Env& env, ProcessId owner) {
     }
   }
   AdmissionGuard admitted{nullptr};
-  if (overload_) {
+  if (admission_) {
     std::int64_t retry_after_us = 0;
-    if (!overload_->try_admit(&retry_after_us)) {
+    if (!admission_->try_admit(&retry_after_us)) {
       // RetryAfter outcome: nothing evaluated, nothing applied. The hint
       // scales with how far past the limit the gate is, so a storm of
       // rejected callers spreads out instead of hammering in lockstep.
@@ -395,12 +360,11 @@ TxnResult Runtime::execute(const Transaction& txn, Env& env, ProcessId owner) {
       shed.retry_after_us = retry_after_us;
       return shed;
     }
-    admitted.ctl = overload_.get();
+    admitted.gate = admission_.get();
   }
   TxnResult result = txn.type == TxnType::Delayed
                          ? execute_blocking(*engine_, txn, env, owner)
                          : engine_->execute(txn, env, owner);
-  if (overload_ && result.success) overload_->deposit();
   if (!result.success) return result;
   // Apply the local action list (lets, spawns) the way the scheduler does
   // for society processes — the dataspace effects already committed.

@@ -18,6 +18,7 @@
 
 #include "check/check.hpp"
 #include "consensus/consensus.hpp"
+#include "control/admission.hpp"
 #include "obs/metrics.hpp"
 #include "persist/persist.hpp"
 #include "process/scheduler.hpp"
@@ -39,12 +40,11 @@ struct RuntimeOptions {
   /// continuations are NOT durable — only the dataspace is shared state
   /// (§2.1); hosts re-spawn the society after recovery.
   persist::PersistOptions persist;
-  /// Overload protection (admission control, retry budgets, circuit
-  /// breaker, backpressure caps). Off by default — the control layer is
-  /// only instantiated when any limit is set (overload.enabled()), so a
-  /// default-constructed Runtime pays nothing, and deterministic-sim runs
-  /// stay bit-identical unless a test arms it deliberately.
-  control::OverloadOptions overload;
+  /// Admission gate: the most host transactions (execute()) in flight at
+  /// once; past it execute() sheds. 0 = no gate — it is only instantiated
+  /// when set, so a default-constructed Runtime pays nothing, and
+  /// deterministic-sim runs stay bit-identical unless a test arms it.
+  std::size_t max_inflight = 0;
   /// Leader/follower replication (src/repl). Off unless repl.role is set.
   /// A Leader requires persist.dir (the WAL is the replication stream) and
   /// streams durable records to attached followers; a Follower applies the
@@ -110,21 +110,22 @@ class Runtime {
   /// Executes one transaction on behalf of the environment (blocking for
   /// delayed transactions) — the host-program escape hatch.
   ///
-  /// Admission-controlled when the overload layer is armed with an
-  /// in-flight limit: past the limit the call returns immediately with
-  /// `TxnResult::shed` set and `retry_after_us` carrying a load-scaled
-  /// backoff hint — the RetryAfter outcome. Nothing is evaluated or
-  /// applied for a shed transaction; the caller resubmits after backing
-  /// off (or drops the request, its deadline permitting).
+  /// Admission-controlled when options.max_inflight is set: past the
+  /// limit the call returns immediately with `TxnResult::shed` set and
+  /// `retry_after_us` carrying a load-scaled backoff hint — the RetryAfter
+  /// outcome. A replication leader whose followers are past
+  /// repl.max_lag_bytes sheds writes the same way, with a hint of one
+  /// poll interval. Nothing is evaluated or applied for a shed
+  /// transaction; the caller resubmits after backing off (or drops the
+  /// request, its deadline permitting).
   TxnResult execute(const Transaction& txn, Env& env,
                     ProcessId owner = kEnvironmentProcess);
 
-  /// Null when overload protection is off (no limit set in
-  /// options.overload). Shed/throttle/breaker counters live here and are
-  /// mirrored into metrics() as sdl_admission_*/sdl_retry_*/sdl_breaker_*
-  /// gauges.
-  [[nodiscard]] control::OverloadControl* overload() {
-    return overload_.get();
+  /// Null when options.max_inflight is 0. Its admitted/shed counters are
+  /// mirrored into metrics() as the sdl_admission_inflight,
+  /// sdl_admitted_total and sdl_admission_shed_total gauges.
+  [[nodiscard]] control::AdmissionGate* admission() {
+    return admission_.get();
   }
 
   /// One-struct summary of runtime counters — what an operator dashboard
@@ -209,10 +210,7 @@ class Runtime {
   // them during teardown.
   obs::MetricsRegistry metrics_registry_;
   obs::RuntimeMetrics metrics_{metrics_registry_};
-  // Declared before waits_/engine_/scheduler_/persist_mgr_, which hold raw
-  // pointers into it: the control block must outlive every component that
-  // might consult it during teardown.
-  std::unique_ptr<control::OverloadControl> overload_;
+  std::unique_ptr<control::AdmissionGate> admission_;
   Dataspace space_;
   WaitSet waits_;
   std::unique_ptr<Engine> engine_;

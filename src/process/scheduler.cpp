@@ -372,18 +372,6 @@ bool Scheduler::finalize_park(Process& p, ParkReason reason) {
   }
   if (staged > 0) timeout_ms = staged;
   if (staged < 0 || reason == ParkReason::Replication) timeout_ms = 0;
-  // Saturated-bucket shedding: a park into a WaitSet bucket past its cap
-  // gets a forced short deadline — even one staged "never" — so overload
-  // converts into bounded timeouts instead of an unbounded park set.
-  // Replication parks are exempt (their construct detects termination
-  // itself; shedding a sweeper would wedge the group accounting).
-  if (overload_ != nullptr && p.park_saturated &&
-      reason != ParkReason::Replication) {
-    const std::int64_t cap_ms = overload_->options().saturated_park_timeout_ms;
-    if (cap_ms > 0 && (timeout_ms <= 0 || timeout_ms > cap_ms)) {
-      timeout_ms = cap_ms;
-    }
-  }
 
   bool armed = false;
   {
@@ -527,15 +515,9 @@ void Scheduler::work_finished() {
 // --------------------------------------------------------------- deadlines
 
 void Scheduler::watchdog_loop(const std::stop_token& st) {
-  // With the epoch-backlog watchdog armed the loop must keep ticking even
-  // when no park deadlines are armed — the backlog grows from the read
-  // path, which never arms a deadline.
-  const bool overload_tick =
-      overload_ != nullptr && overload_->options().epoch_backlog_threshold != 0;
   std::unique_lock lock(watchdog_mutex_);
   while (!st.stop_requested()) {
-    if (!overload_tick &&
-        deadlines_armed_.load(std::memory_order_acquire) == 0) {
+    if (deadlines_armed_.load(std::memory_order_acquire) == 0) {
       // Nothing armed: sleep until a park arms a deadline (or stop).
       watchdog_cv_.wait(lock, st, [this] {
         return deadlines_armed_.load(std::memory_order_acquire) > 0;
@@ -550,7 +532,6 @@ void Scheduler::watchdog_loop(const std::stop_token& st) {
     if (deadlines_armed_.load(std::memory_order_acquire) > 0) {
       expire_deadlines(std::chrono::steady_clock::now());
     }
-    if (overload_tick) overload_->tick();
     lock.lock();
   }
 }
@@ -1156,11 +1137,6 @@ TxnResult Scheduler::execute_engine(Process& p, const Transaction& txn) {
   // exhaustion the caller yields (requeue) rather than parks.
   for (std::size_t attempt = 0;
        r.injected_fault && attempt < options_.commit_retry_limit; ++attempt) {
-    // The shared retry budget gates every in-place retry: under a retry
-    // storm the bucket drains and the process yields back to the ready
-    // queue (the caller's exhaustion path) instead of amplifying offered
-    // load with hot backoff-retry cycles.
-    if (overload_ != nullptr && !overload_->try_spend_retry()) break;
     commit_retries_.fetch_add(1, std::memory_order_relaxed);
     const unsigned shift = attempt < 6 ? static_cast<unsigned>(attempt) : 6u;
     const std::uint64_t base =
@@ -1169,12 +1145,7 @@ TxnResult Scheduler::execute_engine(Process& p, const Transaction& txn) {
     std::this_thread::sleep_for(std::chrono::microseconds(base + jitter));
     r = engine_.execute(txn, p.env, p.pid, p.view_ptr());
   }
-  if (r.success) {
-    ++p.txns_committed;
-    // Successes refill the retry budget — goodput is what makes retries
-    // affordable (Finagle-style ratio budget).
-    if (overload_ != nullptr) overload_->deposit();
-  }
+  if (r.success) ++p.txns_committed;
   return r;
 }
 
@@ -1191,14 +1162,8 @@ void Scheduler::ensure_subscription(Process& p, const Guards& guards, Proj guard
   }
   const ProcessId pid = p.pid;
   p.interest = interest;  // diagnosis copy (wait-for reports)
-  bool saturated = false;
-  p.ticket = engine_.waits().subscribe(
-      std::move(interest), [this, pid] { wake(pid); },
-      overload_ != nullptr ? &saturated : nullptr);
-  // A saturated bucket means this park joins a queue already past its
-  // cap; finalize_park converts the hint into a forced short deadline so
-  // the watchdog sheds the excess instead of letting the bucket grow.
-  p.park_saturated = saturated;
+  p.ticket = engine_.waits().subscribe(std::move(interest),
+                                       [this, pid] { wake(pid); });
 }
 
 void Scheduler::drop_subscription(Process& p) {
@@ -1206,7 +1171,6 @@ void Scheduler::drop_subscription(Process& p) {
   engine_.waits().unsubscribe(p.ticket);
   p.ticket = WaitSet::kInvalidTicket;
   p.interest = {};
-  p.park_saturated = false;
 }
 
 ControlAction Scheduler::apply_actions(Process& p, const Transaction& txn,

@@ -117,14 +117,6 @@ class Scheduler {
   /// source for transient-commit retries (null disables).
   void set_fault_injector(FaultInjector* f) { faults_ = f; }
 
-  /// Arms the overload-protection layer (null disables). The scheduler
-  /// draws transient-commit retries from the shared retry budget (a dry
-  /// budget ends the in-place retry loop early — the process yields back
-  /// to the queue), converts parks into saturated WaitSet buckets into
-  /// short-deadline parks the watchdog sheds, and runs the epoch-backlog
-  /// watchdog check each tick. Set between runs, never during.
-  void set_overload(control::OverloadControl* c) { overload_ = c; }
-
   /// Arms the park/wake observability instruments (null disables). The
   /// park paths additionally re-gate on the SDL_OBS runtime flag, once
   /// per park/dispatch. Set between runs, never during.
@@ -309,7 +301,6 @@ class Scheduler {
   SchedulerOptions options_;
   ConsensusManager* consensus_ = nullptr;
   FaultInjector* faults_ = nullptr;
-  control::OverloadControl* overload_ = nullptr;
   obs::RuntimeMetrics* metrics_ = nullptr;
 
   mutable std::mutex defs_mutex_;  // guards defs_

@@ -663,16 +663,6 @@ TxnResult ShardedEngine::execute(const Transaction& txn, Env& env,
 bool ShardedEngine::try_optimistic_read(const Transaction& txn, Env& env,
                                         TxnResult& result,
                                         obs::RuntimeMetrics* armed) {
-  control::OverloadControl* const ctl = overload_;
-  // Circuit breaker: while Open, unlocked evaluations are known-wasted
-  // work (validation keeps failing against write pressure, or the epoch
-  // watchdog found a reclamation backlog) — go straight to the
-  // always-correct shared-lock path. A HalfOpen probe slips through.
-  if (ctl != nullptr && !ctl->optimistic_allowed()) {
-    stats_.read_fallbacks.add();
-    if (armed != nullptr) armed->read_lock_fallback->add();
-    return false;
-  }
   for (int attempt = 0; attempt < kOptimisticAttempts; ++attempt) {
     // Bounded backoff before each retry: a failed validation means a
     // writer just committed into a sampled shard — yield once rather than
@@ -693,22 +683,13 @@ bool ShardedEngine::try_optimistic_read(const Transaction& txn, Env& env,
       result.matches = std::move(outcome.matches);
       stats_.read_optimistic.add();
       if (armed != nullptr) armed->read_optimistic_ok->add();
-      if (ctl != nullptr) ctl->on_optimistic_ok();
       return true;
     }
     stats_.read_retries.add();
     if (armed != nullptr) armed->read_validation_retry->add();
-    // Each in-place re-evaluation is a retry the shared budget must pay
-    // for: in a validation storm the bucket drains and readers decay to
-    // the shared-lock fallback instead of multiplying unlocked scans.
-    if (ctl != nullptr && attempt + 1 < kOptimisticAttempts &&
-        !ctl->try_spend_retry()) {
-      break;
-    }
   }
   stats_.read_fallbacks.add();
   if (armed != nullptr) armed->read_lock_fallback->add();
-  if (ctl != nullptr) ctl->on_optimistic_fallback();
   return false;
 }
 

@@ -23,7 +23,6 @@
 #include <unordered_map>
 
 #include "trace/event_log.hpp"
-#include "control/overload.hpp"
 #include "persist/wal.hpp"
 #include "core/striped_counter.hpp"
 #include "fault/fault.hpp"
@@ -63,13 +62,15 @@ struct TxnResult {
   /// dataspace. Retrying is safe (nothing was applied) and expected — the
   /// scheduler retries with bounded, jittered backoff.
   bool injected_fault = false;
-  /// The transaction was SHED by the overload layer before any evaluation:
-  /// the admission gate was at its in-flight limit (or the AdmissionShed
-  /// fault point forced a shed). Nothing ran, nothing was applied; the
-  /// caller should back off for ~retry_after_us and resubmit — the
-  /// RetryAfter outcome, distinct from a query failure.
+  /// The transaction was SHED before any evaluation: the admission gate
+  /// was at its in-flight limit (or the AdmissionShed fault point forced a
+  /// shed), or a replication leader's followers were past the byte-lag
+  /// cap. Nothing ran, nothing was applied; the caller should back off for
+  /// ~retry_after_us and resubmit — the RetryAfter outcome, distinct from
+  /// a query failure.
   bool shed = false;
-  /// Backoff hint accompanying `shed`, in µs (load-scaled).
+  /// Backoff hint accompanying `shed`, in µs (load-scaled for an
+  /// admission shed).
   std::int64_t retry_after_us = 0;
   /// The write was refused because this node is a replication FOLLOWER
   /// that has not been promoted: followers apply the leader's stream only
@@ -184,15 +185,6 @@ class Engine {
     std::vector<std::pair<TupleId, Tuple>> asserts;
   };
 
-  /// Arms the overload-protection layer (null disables). The ShardedEngine
-  /// consults it on the optimistic read path: a tripped circuit breaker
-  /// routes reads straight to the shared-lock path, and validation
-  /// retries draw from the shared retry budget (a dry budget means an
-  /// immediate fallback instead of re-evaluating). Call while no
-  /// transactions are in flight.
-  void set_overload(control::OverloadControl* c) { overload_ = c; }
-  [[nodiscard]] control::OverloadControl* overload() const { return overload_; }
-
   /// Arms the durability subsystem (null disables). When armed, every
   /// effectful commit logs its effect set to the WAL while the commit's
   /// locks are held, and a snapshot runs when one falls due. Call while
@@ -297,7 +289,6 @@ class Engine {
   FaultInjector* faults_ = nullptr;
   EventLog* log_ = nullptr;
   EngineSabotage* sabotage_ = nullptr;
-  control::OverloadControl* overload_ = nullptr;
   persist::PersistManager* persist_ = nullptr;
   obs::RuntimeMetrics* metrics_ = nullptr;
 };

@@ -18,14 +18,8 @@ void WaitSet::leave(Bucket& bucket, std::size_t index) {
   bucket.pop_back();
 }
 
-WaitSet::Ticket WaitSet::subscribe(Interest interest, std::function<void()> wake,
-                                   bool* saturated) {
-  // Park-set cap: a bucket already holding `cap` subscribers is a queue
-  // that can only be drained one publish at a time — piling more parked
-  // processes onto it converts overload into unbounded latency. The cap
-  // check rides the same lock as the insert, so the count is exact.
-  const std::size_t cap =
-      overload_ != nullptr ? overload_->options().max_parked_per_bucket : 0;
+WaitSet::Ticket WaitSet::subscribe(Interest interest,
+                                   std::function<void()> wake) {
   std::scoped_lock lock(mutex_);
   live_subscribers_.fetch_add(1, std::memory_order_release);
   const Ticket ticket = next_ticket_++;
@@ -36,13 +30,7 @@ WaitSet::Ticket WaitSet::subscribe(Interest interest, std::function<void()> wake
     join(all_, ticket, entry);
   } else {
     for (const IndexKey& k : entry.interest.keys) {
-      Bucket& bucket = by_key_[k];
-      if (cap != 0 && bucket.size() >= cap) {
-        if (saturated != nullptr) *saturated = true;
-        overload_->stats().park_saturated.fetch_add(1,
-                                                    std::memory_order_relaxed);
-      }
-      join(bucket, ticket, entry);
+      join(by_key_[k], ticket, entry);
     }
     for (std::uint32_t a : entry.interest.arities) {
       join(by_arity_[a], ticket, entry);

@@ -21,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "control/overload.hpp"
 #include "fault/fault.hpp"
 #include "space/dataspace.hpp"
 
@@ -46,15 +45,7 @@ class WaitSet {
 
   /// Registers `wake` to be invoked (possibly concurrently, possibly
   /// spuriously) whenever a matching commit is published.
-  ///
-  /// Backpressure: when the overload layer is armed with a per-bucket
-  /// park cap, `*saturated` (if non-null) is set true when any exact key
-  /// in `interest` already holds at least the cap's worth of subscribers.
-  /// The subscription is still registered — wakeup correctness is not
-  /// negotiable — but the caller is expected to bound its park (the
-  /// scheduler forces a short deadline so the watchdog sheds it).
-  Ticket subscribe(Interest interest, std::function<void()> wake,
-                   bool* saturated = nullptr);
+  Ticket subscribe(Interest interest, std::function<void()> wake);
 
   void unsubscribe(Ticket ticket);
 
@@ -99,10 +90,6 @@ class WaitSet {
   /// wakeup; Delay widens the commit→publish and collect→invoke windows.
   void set_fault_injector(FaultInjector* f) { faults_ = f; }
 
-  /// Arms the overload layer's per-bucket park-set cap (null disables).
-  /// Set while no subscribers churn (Runtime wiring time).
-  void set_overload(control::OverloadControl* c) { overload_ = c; }
-
  private:
   /// One ticket's place in a subscriber bucket. `slot` indexes the
   /// ticket's Entry::pos, which holds this member's index in the bucket.
@@ -132,7 +119,6 @@ class WaitSet {
   std::atomic<std::uint64_t> version_{0};
   std::atomic<std::uint64_t> wakes_{0};
   FaultInjector* faults_ = nullptr;
-  control::OverloadControl* overload_ = nullptr;
   /// Lock-free publish fast path: commits with nobody subscribed skip the
   /// mutex entirely (otherwise every commit in the system serializes on
   /// it — measured as the scaling ceiling in experiment E6).

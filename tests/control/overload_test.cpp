@@ -1,16 +1,14 @@
-// OverloadControl unit tests: admission gate, retry budget, circuit
-// breaker, epoch watchdog, and the deterministic fault points — the
-// building blocks docs/IMPLEMENTATION.md §15 documents, tested in
-// isolation from the runtime.
-#include "control/overload.hpp"
+// AdmissionGate unit tests: the in-flight limit, the RetryAfter hint and
+// the deterministic AdmissionShed fault point — the gate
+// docs/IMPLEMENTATION.md §15 documents, tested in isolation from the
+// runtime.
+#include "control/admission.hpp"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <atomic>
 #include <thread>
 #include <vector>
-
-#include "core/epoch.hpp"
 
 namespace sdl::control {
 namespace {
@@ -18,7 +16,7 @@ namespace {
 // ---- admission gate --------------------------------------------------------
 
 TEST(AdmissionGate, UnlimitedWhenZero) {
-  OverloadControl ctl({.retry_budget_cap = 1});  // armed, but no inflight cap
+  AdmissionGate ctl(0);
   std::int64_t ra = 0;
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(ctl.try_admit(&ra));
   EXPECT_EQ(ctl.stats().sheds.load(), 0u);
@@ -26,7 +24,7 @@ TEST(AdmissionGate, UnlimitedWhenZero) {
 }
 
 TEST(AdmissionGate, ShedsAtLimitAndRecoversOnRelease) {
-  OverloadControl ctl({.max_inflight = 2});
+  AdmissionGate ctl(2);
   std::int64_t ra = 0;
   ASSERT_TRUE(ctl.try_admit(&ra));
   ASSERT_TRUE(ctl.try_admit(&ra));
@@ -41,15 +39,12 @@ TEST(AdmissionGate, ShedsAtLimitAndRecoversOnRelease) {
 }
 
 TEST(AdmissionGate, RetryAfterScalesWithExcess) {
-  OverloadOptions opts;
-  opts.max_inflight = 1;
-  opts.retry_after_us = 100;
-  OverloadControl ctl(opts);
+  AdmissionGate ctl(1);
   std::int64_t ra = 0;
   ASSERT_TRUE(ctl.try_admit(&ra));
   ASSERT_FALSE(ctl.try_admit(&ra));
   const std::int64_t first = ra;
-  EXPECT_GE(first, 100);
+  EXPECT_GE(first, AdmissionGate::kRetryAfterUs);
   // Pile on more demand without releasing: the hint must not shrink, and
   // with racing claimants it grows with queue depth.
   std::vector<std::jthread> threads;
@@ -74,9 +69,7 @@ TEST(AdmissionGate, RetryAfterScalesWithExcess) {
 }
 
 TEST(AdmissionGate, ConcurrentClaimsNeverExceedLimitSteadyState) {
-  OverloadOptions opts;
-  opts.max_inflight = 4;
-  OverloadControl ctl(opts);
+  AdmissionGate ctl(4);
   std::atomic<int> active{0};
   std::atomic<int> peak{0};
   std::atomic<std::uint64_t> admitted{0};
@@ -107,154 +100,10 @@ TEST(AdmissionGate, ConcurrentClaimsNeverExceedLimitSteadyState) {
   EXPECT_LE(peak.load(), 4);
 }
 
-// ---- retry budget ----------------------------------------------------------
-
-TEST(RetryBudget, DisabledBudgetAlwaysGrants) {
-  OverloadControl ctl({.max_inflight = 1});  // budget cap left 0
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(ctl.try_spend_retry());
-  EXPECT_EQ(ctl.stats().retry_denied.load(), 0u);
-}
-
-TEST(RetryBudget, StartsFullSpendsToDryThenDenies) {
-  OverloadOptions opts;
-  opts.retry_budget_cap = 3;
-  OverloadControl ctl(opts);
-  EXPECT_EQ(ctl.retry_tokens(), 3u);
-  EXPECT_TRUE(ctl.try_spend_retry());
-  EXPECT_TRUE(ctl.try_spend_retry());
-  EXPECT_TRUE(ctl.try_spend_retry());
-  EXPECT_EQ(ctl.retry_tokens(), 0u);
-  EXPECT_FALSE(ctl.try_spend_retry());
-  EXPECT_EQ(ctl.stats().retry_spent.load(), 3u);
-  EXPECT_EQ(ctl.stats().retry_denied.load(), 1u);
-}
-
-TEST(RetryBudget, DepositsRefillFractionallyAndCapAtMax) {
-  OverloadOptions opts;
-  opts.retry_budget_cap = 2;
-  opts.retry_deposit_millitokens = 500;  // two successes buy one retry
-  OverloadControl ctl(opts);
-  ASSERT_TRUE(ctl.try_spend_retry());
-  ASSERT_TRUE(ctl.try_spend_retry());
-  ASSERT_FALSE(ctl.try_spend_retry());
-  ctl.deposit();
-  EXPECT_FALSE(ctl.try_spend_retry());  // half a token is not a token
-  ctl.deposit();
-  EXPECT_TRUE(ctl.try_spend_retry());
-  for (int i = 0; i < 100; ++i) ctl.deposit();
-  EXPECT_EQ(ctl.retry_tokens(), 2u);  // capped at retry_budget_cap
-}
-
-// ---- circuit breaker -------------------------------------------------------
-
-TEST(Breaker, DisabledBreakerAlwaysAllows) {
-  OverloadControl ctl({.retry_budget_cap = 1});  // threshold left 0
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(ctl.optimistic_allowed());
-    ctl.on_optimistic_fallback();
-  }
-  EXPECT_EQ(ctl.breaker_state(), 0);
-  EXPECT_EQ(ctl.stats().breaker_trips.load(), 0u);
-}
-
-TEST(Breaker, ConsecutiveFallbacksTripSuccessResets) {
-  OverloadOptions opts;
-  opts.breaker_failure_threshold = 3;
-  opts.breaker_open_ms = 1000;  // long enough to observe Open
-  OverloadControl ctl(opts);
-  ctl.on_optimistic_fallback();
-  ctl.on_optimistic_fallback();
-  ctl.on_optimistic_ok();  // streak broken
-  ctl.on_optimistic_fallback();
-  ctl.on_optimistic_fallback();
-  EXPECT_EQ(ctl.breaker_state(), 0);  // still Closed: streak is 2 of 3
-  ctl.on_optimistic_fallback();
-  EXPECT_EQ(ctl.breaker_state(), 1);  // Open
-  EXPECT_EQ(ctl.stats().breaker_trips.load(), 1u);
-  EXPECT_FALSE(ctl.optimistic_allowed());
-}
-
-TEST(Breaker, HalfOpenProbeClosesOnSuccess) {
-  OverloadOptions opts;
-  opts.breaker_failure_threshold = 1;
-  opts.breaker_open_ms = 5;
-  OverloadControl ctl(opts);
-  ctl.trip_breaker();
-  EXPECT_FALSE(ctl.optimistic_allowed());
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  // Cooldown over: exactly one probe wins the HalfOpen slot.
-  EXPECT_TRUE(ctl.optimistic_allowed());
-  EXPECT_EQ(ctl.breaker_state(), 2);       // HalfOpen
-  EXPECT_FALSE(ctl.optimistic_allowed());  // others keep falling back
-  ctl.on_optimistic_ok();
-  EXPECT_EQ(ctl.breaker_state(), 0);  // Closed again
-  EXPECT_TRUE(ctl.optimistic_allowed());
-}
-
-TEST(Breaker, HalfOpenProbeFailureReopensImmediately) {
-  OverloadOptions opts;
-  opts.breaker_failure_threshold = 5;  // a failed probe must not need 5
-  opts.breaker_open_ms = 5;
-  OverloadControl ctl(opts);
-  ctl.trip_breaker();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ASSERT_TRUE(ctl.optimistic_allowed());  // the probe
-  ctl.on_optimistic_fallback();
-  EXPECT_EQ(ctl.breaker_state(), 1);  // re-Opened
-  EXPECT_EQ(ctl.stats().breaker_trips.load(), 2u);
-  EXPECT_FALSE(ctl.optimistic_allowed());
-}
-
-TEST(Breaker, OnlyOneProbeWinsUnderContention) {
-  OverloadOptions opts;
-  opts.breaker_failure_threshold = 1;
-  opts.breaker_open_ms = 5;
-  OverloadControl ctl(opts);
-  ctl.trip_breaker();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  std::atomic<int> winners{0};
-  {
-    std::vector<std::jthread> threads;
-    for (int t = 0; t < 8; ++t) {
-      threads.emplace_back([&] {
-        if (ctl.optimistic_allowed()) winners.fetch_add(1);
-      });
-    }
-  }
-  EXPECT_EQ(winners.load(), 1);
-}
-
-// ---- epoch watchdog --------------------------------------------------------
-
-TEST(EpochWatchdog, TickDrainsBacklogAndTripsBreaker) {
-  OverloadOptions opts;
-  opts.epoch_backlog_threshold = 8;
-  opts.breaker_failure_threshold = 1;
-  opts.breaker_open_ms = 60'000;  // stays Open for the whole test
-  OverloadControl ctl(opts);
-
-  ctl.tick();  // backlog below threshold: no intervention
-  EXPECT_EQ(ctl.stats().forced_drains.load(), 0u);
-
-  // Retire well past the threshold with no guard pinning anything, so the
-  // forced advance+collect can actually free them.
-  for (int i = 0; i < 64; ++i) epoch::retire(new int(i), [](void* p) {
-    delete static_cast<int*>(p);
-  });
-  if (epoch::backlog() > opts.epoch_backlog_threshold) {
-    ctl.tick();
-    EXPECT_EQ(ctl.stats().forced_drains.load(), 1u);
-    EXPECT_EQ(ctl.breaker_state(), 1);  // optimistic path circuit-broken
-    EXPECT_LE(epoch::backlog(), opts.epoch_backlog_threshold);
-  } else {
-    GTEST_SKIP() << "epoch backlog drained by background activity";
-  }
-}
-
 // ---- fault points ----------------------------------------------------------
 
 TEST(OverloadFaults, ArmedAdmissionShedForcesSheds) {
-  OverloadControl ctl({.max_inflight = 100});
+  AdmissionGate ctl(100);
   FaultInjector faults(42);
   ctl.set_fault_injector(&faults);
   faults.arm(FaultPoint::AdmissionShed, FaultAction::FailCommit, 1000,
@@ -264,7 +113,7 @@ TEST(OverloadFaults, ArmedAdmissionShedForcesSheds) {
   for (int i = 0; i < 10; ++i) {
     if (!ctl.try_admit(&ra)) {
       ++sheds;
-      EXPECT_EQ(ra, ctl.options().retry_after_us);
+      EXPECT_EQ(ra, AdmissionGate::kRetryAfterUs);
     } else {
       ctl.release();
     }
@@ -273,26 +122,11 @@ TEST(OverloadFaults, ArmedAdmissionShedForcesSheds) {
   EXPECT_EQ(ctl.stats().sheds.load(), 3u);
 }
 
-TEST(OverloadFaults, ArmedRetryExhaustionForcesDenials) {
-  OverloadControl ctl({.retry_budget_cap = 100});
-  FaultInjector faults(42);
-  ctl.set_fault_injector(&faults);
-  faults.arm(FaultPoint::RetryBudgetExhausted, FaultAction::FailCommit, 1000,
-             /*max_fires=*/2);
-  int denied = 0;
-  for (int i = 0; i < 10; ++i) {
-    if (!ctl.try_spend_retry()) ++denied;
-  }
-  EXPECT_EQ(denied, 2);
-  // Forced denials never touch the bucket: tokens spent = successes only.
-  EXPECT_EQ(ctl.retry_tokens(), 100u - 8u);
-}
-
 TEST(OverloadFaults, DecisionStreamIsSeedDeterministic) {
   // Same seed, same permille: the shed pattern across crossings must be
   // bit-identical run to run (the sim-mode contract for new points).
   const auto pattern = [](std::uint64_t seed) {
-    OverloadControl ctl({.max_inflight = 100});
+    AdmissionGate ctl(100);
     FaultInjector faults(seed);
     ctl.set_fault_injector(&faults);
     faults.arm(FaultPoint::AdmissionShed, FaultAction::FailCommit, 300);
@@ -310,7 +144,7 @@ TEST(OverloadFaults, DecisionStreamIsSeedDeterministic) {
 }
 
 TEST(OverloadFaults, DetachRestoresNormalDecisions) {
-  OverloadControl ctl({.max_inflight = 100});
+  AdmissionGate ctl(100);
   FaultInjector faults(1);
   ctl.set_fault_injector(&faults);
   faults.arm(FaultPoint::AdmissionShed, FaultAction::FailCommit, 1000);

@@ -1,13 +1,17 @@
 // WalWriter/read_wal_segment: append/read roundtrips, group commit
-// accounting, rotation, the WalAppend crash fault — and the torn-write
-// property test: a valid WAL truncated at EVERY byte offset must parse
-// without crashing to a sequence-prefix of the original commits.
+// accounting and concurrent committers, rotation, the WalAppend crash
+// fault — and the torn-write property test: a valid WAL truncated at
+// EVERY byte offset must parse without crashing to a sequence-prefix of
+// the original commits.
 #include "persist/wal.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "core/codec.hpp"
 
@@ -80,6 +84,54 @@ TEST_F(WalTest, GroupCommitBatchesFsyncs) {
   // flusher may coalesce them further) — never one per append.
   EXPECT_GE(w.syncs(), 1u);
   EXPECT_LE(w.syncs(), 3u);
+}
+
+TEST_F(WalTest, ConcurrentGroupCommitAcksEveryAppendGapFree) {
+  // Several committers share one writer while the background flusher
+  // drains batches: every append is acknowledged, and the segment reads
+  // back as one gap-free sequence holding each committer's records in its
+  // own append order.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 200;
+  constexpr auto kTotal = static_cast<std::uint64_t>(kThreads * kPerThread);
+  std::string seg;
+  {
+    WalWriter w(dir, /*shard_count=*/8, /*next_seq=*/1, /*fsync_every=*/8);
+    seg = w.segment_path();
+    std::atomic<std::uint64_t> acked{0};
+    {
+      std::vector<std::jthread> committers;
+      for (int t = 0; t < kThreads; ++t) {
+        committers.emplace_back([&, t] {
+          for (int i = 0; i < kPerThread; ++i) {
+            const auto seq = w.append(
+                static_cast<ProcessId>(t + 1), 0, {},
+                {{TupleId(static_cast<std::uint32_t>(t + 1),
+                          static_cast<std::uint64_t>(i)),
+                  tup("payload", t, i, std::string(64, 'x'))}});
+            if (seq != 0) acked.fetch_add(1);
+          }
+        });
+      }
+    }
+    EXPECT_EQ(acked.load(), kTotal);
+    EXPECT_EQ(w.last_appended(), kTotal);
+    w.sync();
+    EXPECT_EQ(w.last_synced(), kTotal);
+  }
+  const WalReadResult r = read_wal_segment(seg);
+  ASSERT_TRUE(r.header_ok);
+  EXPECT_FALSE(r.corrupt);
+  ASSERT_EQ(r.commits.size(), kTotal);
+  std::vector<std::uint64_t> next_local(kThreads + 1, 0);
+  for (std::size_t i = 0; i < r.commits.size(); ++i) {
+    const WalCommit& c = r.commits[i];
+    EXPECT_EQ(c.seq, i + 1);
+    ASSERT_GE(c.owner, 1u);
+    ASSERT_LE(c.owner, static_cast<ProcessId>(kThreads));
+    ASSERT_EQ(c.asserts.size(), 1u);
+    EXPECT_EQ(c.asserts[0].first.sequence(), next_local[c.owner]++);
+  }
 }
 
 TEST_F(WalTest, FsyncNeverStillAppendsEverything) {

@@ -1,8 +1,6 @@
-// End-to-end overload protection through the Runtime: admission sheds
-// host transactions with a RetryAfter hint, saturated WaitSet buckets
-// convert would-be-forever parks into watchdog-shed timeouts, the retry
-// budget bounds the scheduler's transient-commit retries, and every
-// decision is visible in the unified obs export.
+// End-to-end admission control through the Runtime: the gate sheds host
+// transactions with a RetryAfter hint, and its decisions are visible in
+// the unified obs export.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,18 +22,17 @@ RuntimeOptions small_opts() {
 
 TEST(OverloadRuntime, DisabledByDefaultAndGaugesAbsent) {
   Runtime rt(small_opts());
-  EXPECT_EQ(rt.overload(), nullptr);
+  EXPECT_EQ(rt.admission(), nullptr);
   const std::string json = rt.metrics().to_json();
   EXPECT_EQ(json.find("sdl_admission_shed_total"), std::string::npos)
-      << "overload gauges must not register when the layer is off";
+      << "admission gauges must not register when the gate is off";
 }
 
 TEST(OverloadRuntime, AdmissionShedsPastInflightLimit) {
   RuntimeOptions o = small_opts();
-  o.overload.max_inflight = 1;
-  o.overload.retry_after_us = 150;
+  o.max_inflight = 1;
   Runtime rt(o);
-  ASSERT_NE(rt.overload(), nullptr);
+  ASSERT_NE(rt.admission(), nullptr);
   rt.seed(tup("c", 0));
 
   // Occupy the single in-flight slot: a delayed transaction blocked on a
@@ -52,7 +49,7 @@ TEST(OverloadRuntime, AdmissionShedsPastInflightLimit) {
     EXPECT_TRUE(r.success);
     blocked_done.store(true);
   });
-  while (rt.overload()->inflight() < 1) {
+  while (rt.admission()->inflight() < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -67,9 +64,9 @@ TEST(OverloadRuntime, AdmissionShedsPastInflightLimit) {
   const TxnResult shed = rt.execute(read, env);
   EXPECT_FALSE(shed.success);
   EXPECT_TRUE(shed.shed);
-  EXPECT_GE(shed.retry_after_us, 150);
+  EXPECT_GE(shed.retry_after_us, control::AdmissionGate::kRetryAfterUs);
   EXPECT_TRUE(shed.matches.empty());
-  EXPECT_GE(rt.overload()->stats().sheds.load(), 1u);
+  EXPECT_GE(rt.admission()->stats().sheds.load(), 1u);
 
   // Unblock, then the gate admits again.
   rt.seed(tup("go"));
@@ -78,89 +75,28 @@ TEST(OverloadRuntime, AdmissionShedsPastInflightLimit) {
   const TxnResult ok = rt.execute(read, env);
   EXPECT_TRUE(ok.success);
   EXPECT_FALSE(ok.shed);
-  EXPECT_EQ(rt.overload()->inflight(), 0u) << "admission slot leaked";
-}
-
-TEST(OverloadRuntime, SaturatedParkBucketIsShedByWatchdog) {
-  RuntimeOptions o = small_opts();
-  o.overload.max_parked_per_bucket = 1;
-  o.overload.saturated_park_timeout_ms = 20;
-  Runtime rt(o);
-  // Three waiters on the same bucket, each pinned to "park forever": only
-  // the first fits under the cap; the overflow parks get a forced short
-  // deadline and the watchdog sheds them as timeouts instead of letting
-  // the bucket queue grow without bound.
-  ProcessDef def;
-  def.name = "Lonely";
-  def.body = seq({stmt(TxnBuilder(TxnType::Delayed)
-                           .match(pat({A("never")}), true)
-                           .timeout(-1)
-                           .build())});
-  rt.define(std::move(def));
-  rt.spawn("Lonely");
-  rt.spawn("Lonely");
-  rt.spawn("Lonely");
-  const RunReport report = rt.run();
-  EXPECT_EQ(report.timed_out.size(), 2u)
-      << "overflow parks must be shed, the under-cap park kept";
-  EXPECT_EQ(report.still_parked, 1u);
-  EXPECT_GE(rt.overload()->stats().park_saturated.load(), 2u);
-  EXPECT_EQ(rt.waits().subscriber_count(), 1u);
-}
-
-TEST(OverloadRuntime, RetryBudgetBoundsTransientCommitRetries) {
-  RuntimeOptions o = small_opts();
-  o.overload.retry_budget_cap = 2;
-  o.overload.retry_deposit_millitokens = 0;  // no refill: the bucket only drains
-  Runtime rt(o);
-  FaultInjector& faults = rt.enable_faults(/*seed=*/11);
-  // Every commit fails transiently for the first 40 crossings, then the
-  // storm ends and the society completes.
-  faults.arm(FaultPoint::EngineCommit, FaultAction::FailCommit, 1000,
-             /*max_fires=*/40);
-  ProcessDef def;
-  def.name = "Writer";
-  def.body = seq({stmt(
-      TxnBuilder().assert_tuple({lit(Value::atom("done"))}).build())});
-  rt.define(std::move(def));
-  rt.spawn("Writer");
-  const RunReport report = rt.run();
-  EXPECT_TRUE(report.clean()) << "storm ends -> society must still finish";
-  EXPECT_EQ(rt.space().count(tup("done")), 1u);
-  // The budget paid for at most cap retries; every further in-dispatch
-  // retry was denied and decayed to a requeue instead.
-  EXPECT_LE(rt.overload()->stats().retry_spent.load(), 2u);
-  EXPECT_GT(rt.overload()->stats().retry_denied.load(), 0u);
-  EXPECT_LE(rt.scheduler().commit_retries(),
-            rt.overload()->stats().retry_spent.load());
+  EXPECT_EQ(rt.admission()->inflight(), 0u) << "admission slot leaked";
 }
 
 TEST(OverloadRuntime, OverloadGaugesInUnifiedExport) {
   RuntimeOptions o = small_opts();
-  o.overload.max_inflight = 8;
-  o.overload.retry_budget_cap = 4;
-  o.overload.breaker_failure_threshold = 3;
+  o.max_inflight = 8;
   Runtime rt(o);
   const std::string json = rt.metrics().to_json();
-  for (const char* name :
-       {"sdl_admission_inflight", "sdl_admitted_total",
-        "sdl_admission_shed_total", "sdl_retry_budget_tokens",
-        "sdl_retry_spent_total", "sdl_retry_denied_total",
-        "sdl_breaker_state", "sdl_breaker_trips_total",
-        "sdl_wal_backpressure_waits_total", "sdl_park_saturated_total",
-        "sdl_epoch_forced_drains_total"}) {
+  for (const char* name : {"sdl_admission_inflight", "sdl_admitted_total",
+                           "sdl_admission_shed_total"}) {
     EXPECT_NE(json.find(name), std::string::npos)
         << name << " missing from obs export";
   }
   // And the prometheus rendering carries them too.
-  EXPECT_NE(rt.metrics().to_prometheus().find("sdl_retry_budget_tokens"),
+  EXPECT_NE(rt.metrics().to_prometheus().find("sdl_admission_shed_total"),
             std::string::npos);
 }
 
 TEST(OverloadRuntime, FaultForcedShedIsDeterministicPerSeed) {
   const auto shed_pattern = [](std::uint64_t seed) {
     RuntimeOptions o = small_opts();
-    o.overload.max_inflight = 64;  // never organically shed
+    o.max_inflight = 64;  // never organically shed
     Runtime rt(o);
     rt.seed(tup("c", 0));
     FaultInjector& faults = rt.enable_faults(seed);

@@ -1,7 +1,8 @@
 // Leader/follower replication end-to-end on two Runtimes joined by a
 // loopback transport pair: streaming, restart-stable ids, the follower
-// write gate, snapshot-seeded catch-up behind a pruned WAL window,
-// follower recoverability from its own re-logged WAL, and promotion.
+// write gate, follower-lag write shedding, snapshot-seeded catch-up
+// behind a pruned WAL window, follower recoverability from its own
+// re-logged WAL, and promotion.
 #include "repl/repl.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "persist/recovery.hpp"
 #include "process/runtime.hpp"
 #include "repl/net_transport.hpp"
+#include "repl/wire.hpp"
 
 namespace sdl {
 namespace {
@@ -174,6 +176,54 @@ TEST_F(ReplRuntimeTest, FollowerRefusesWritesButServesReads) {
   const TxnResult r = follower.execute(read_any_job(), env);
   EXPECT_TRUE(r.success) << "reads are local and eventually consistent";
   EXPECT_EQ(follower.space().count(tup("job", 1)), 1u);
+}
+
+TEST_F(ReplRuntimeTest, FollowerLagShedsWritesButServesReads) {
+  RuntimeOptions o = leader_opts();
+  o.repl.max_lag_bytes = 256;
+  Runtime leader(o);
+  ASSERT_EQ(leader.admission(), nullptr) << "no admission limit is set";
+  // A follower endpoint that says Hello and then never acks: everything
+  // the leader ships stays unacked, so the lag only grows.
+  auto [to_follower, stalled] = repl::make_loopback_pair();
+  leader.repl_leader()->add_follower(std::move(to_follower));
+  repl::HelloMsg hello;
+  hello.node_id = 2;
+  ASSERT_TRUE(stalled->send(repl::encode_hello(hello)));
+
+  const Transaction write = prep(TxnBuilder().assert_tuple(
+      {lit(Value::atom("job")), lit(Value::atom("payload"))}));
+  const std::int64_t hint_us = o.repl.poll_interval_ms * 1000;
+  std::uint64_t commits = 0;
+  std::uint64_t sheds = 0;
+  const auto write_once = [&] {
+    const TxnResult r = leader.execute(write, env);
+    if (r.shed) {
+      ++sheds;
+      EXPECT_FALSE(r.success);
+      EXPECT_EQ(r.retry_after_us, hint_us);
+    } else {
+      EXPECT_TRUE(r.success);
+      ++commits;
+    }
+    return r.shed;
+  };
+  ASSERT_TRUE(wait_until(write_once)) << "lag never passed the cap";
+  EXPECT_GE(commits, 1u) << "writes commit until the lag passes the cap";
+  // The follower never acks, so every later write is shed too.
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(write_once());
+
+  const TxnResult r = leader.execute(read_any_job(), env);
+  EXPECT_TRUE(r.success) << "read-only transactions are never shed";
+  EXPECT_FALSE(r.shed);
+  EXPECT_EQ(leader.space().count(tup("job", "payload")),
+            static_cast<std::size_t>(commits));
+
+  EXPECT_NE(leader.metrics().to_prometheus().find(
+                "\nsdl_repl_backpressure_total " + std::to_string(sheds) +
+                "\n"),
+            std::string::npos)
+      << "every shed write is counted once, sheds=" << sheds;
 }
 
 TEST_F(ReplRuntimeTest, LateFollowerCatchesUpViaSnapshotBehindPrunedWal) {

@@ -24,7 +24,8 @@ TEST(ReplWireTest, HelloRoundtrip) {
 
 TEST(ReplWireTest, SnapshotRoundtripPreservesRawBytes) {
   SnapshotMsg in;
-  in.file_bytes = std::string("\x00\x01\xff binary \n payload", 23);
+  static constexpr char kRaw[] = "\x00\x01\xff binary \n payload";
+  in.file_bytes = std::string(kRaw, sizeof kRaw - 1);  // keeps the NUL
   const std::string frame = encode_snapshot(in);
   Message out;
   ASSERT_TRUE(decode_message(frame, &out));

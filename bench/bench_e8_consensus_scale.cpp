@@ -4,8 +4,11 @@
 //
 // Workload: P processes split into C communities by view (community c
 // imports only <c, *> tuples). Every process issues one consensus
-// transaction. Detection latency and sweep count are measured as P and C
-// vary; each community should fire exactly once, independently.
+// transaction. Detection latency, detection passes and nodes visited per
+// fire are measured as P and C vary; each community should fire exactly
+// once, independently, and the nodes a fire costs should follow the
+// community's size (P / C), not the society's (P). The scheduler keeps 4
+// worker threads at every P.
 #include <benchmark/benchmark.h>
 
 #include "workloads.hpp"
@@ -32,6 +35,7 @@ void BM_ConsensusCommunities(benchmark::State& state) {
   const int communities = static_cast<int>(state.range(1));
   std::uint64_t sweeps = 0;
   std::uint64_t fires = 0;
+  std::uint64_t visited = 0;
   for (auto _ : state) {
     RuntimeOptions o;
     o.scheduler.workers = 4;
@@ -52,15 +56,18 @@ void BM_ConsensusCommunities(benchmark::State& state) {
     }
     sweeps += rt.consensus().sweeps();
     fires += rt.consensus().fires();
+    visited += rt.consensus().nodes_visited();
   }
   const auto iters = static_cast<double>(state.iterations());
   state.counters["sweeps"] = benchmark::Counter(static_cast<double>(sweeps) / iters);
   state.counters["fires"] = benchmark::Counter(static_cast<double>(fires) / iters);
+  state.counters["nodes_visited_per_fire"] = benchmark::Counter(
+      fires == 0 ? 0.0 : static_cast<double>(visited) / static_cast<double>(fires));
   state.SetItemsProcessed(state.iterations() * processes);
 }
 
 BENCHMARK(BM_ConsensusCommunities)
-    ->ArgsProduct({{16, 64, 256}, {1, 4, 16}})
+    ->ArgsProduct({{16, 64, 256, 1024, 4096}, {1, 4, 16}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

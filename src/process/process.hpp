@@ -81,8 +81,9 @@ struct ConsensusResult {
 
 /// A bucket-level over-approximation of a process's import set, frozen at
 /// spawn time (it depends only on parameters, which never change). The
-/// consensus manager uses it for processes that are currently runnable —
-/// their environments cannot be read safely, but the summary can, and an
+/// consensus manager indexes it to find a process's possible neighbours,
+/// and uses it for processes that are currently runnable — their
+/// environments cannot be read safely, but the summary can, and an
 /// over-approximation only delays consensus, never fires it wrongly.
 struct ImportSummary {
   bool everything = false;

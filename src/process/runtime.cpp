@@ -205,8 +205,8 @@ EventLog& Runtime::arm_log() {
   // The society at arm time opens its lanes, so a re-armed log still
   // names the processes a later run() drives.
   std::vector<std::pair<ProcessId, std::string>> live;
-  scheduler_->with_live([&](const std::vector<Process*>& procs) {
-    for (const Process* p : procs) live.emplace_back(p->pid, p->def.name);
+  scheduler_->with_society([&](const Scheduler::Society& society) {
+    for (const auto& [pid, p] : society) live.emplace_back(pid, p->def.name);
   });
   std::sort(live.begin(), live.end());
   for (auto& [pid, name] : live) {

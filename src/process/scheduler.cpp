@@ -139,7 +139,9 @@ ProcessId Scheduler::spawn(const std::string& def_name, std::vector<Value> args)
   {
     std::scoped_lock lock(society_mutex_);
     pid = next_pid_++;
-    society_.emplace(pid, std::make_unique<Process>(pid, *def, std::move(args)));
+    auto p = std::make_unique<Process>(pid, *def, std::move(args));
+    if (consensus_ != nullptr) consensus_->on_spawn(*p);
+    society_.emplace(pid, std::move(p));
   }
   spawned_.fetch_add(1, std::memory_order_relaxed);
   if (EventLog* log = engine_.event_log()) {
@@ -155,7 +157,9 @@ ProcessId Scheduler::spawn_replicant(
   {
     std::scoped_lock lock(society_mutex_);
     pid = next_pid_++;
-    society_.emplace(pid, std::make_unique<Process>(pid, parent, group));
+    auto p = std::make_unique<Process>(pid, parent, group);
+    if (consensus_ != nullptr) consensus_->on_spawn(*p);
+    society_.emplace(pid, std::move(p));
   }
   spawned_.fetch_add(1, std::memory_order_relaxed);
   if (EventLog* log = engine_.event_log()) {
@@ -164,13 +168,9 @@ ProcessId Scheduler::spawn_replicant(
   return pid;
 }
 
-void Scheduler::with_live(
-    const std::function<void(const std::vector<Process*>&)>& fn) {
+void Scheduler::with_society(const std::function<void(const Society&)>& fn) {
   std::scoped_lock lock(society_mutex_);
-  std::vector<Process*> live;
-  live.reserve(society_.size());
-  for (auto& [pid, p] : society_) live.push_back(p.get());
-  fn(live);
+  fn(society_);
 }
 
 std::size_t Scheduler::live_count() const {
@@ -392,6 +392,10 @@ bool Scheduler::finalize_park(Process& p, ParkReason reason) {
       consensus_waiters_.fetch_add(1, std::memory_order_relaxed);
       p.counted_waiter = true;
     }
+    // Seed detection in the same critical section that makes the park
+    // visible: a pass either sees the process still runnable or finds
+    // the seeds this park left.
+    if (consensus_ != nullptr) consensus_->on_park(p);
     if (timeout_ms > 0) {
       p.has_deadline = true;
       p.deadline = park_clock_now() + std::chrono::milliseconds(timeout_ms);
@@ -461,7 +465,11 @@ void Scheduler::retire(Process& p, RetireKind kind, std::string note) {
     wake_parent = group->parent;
   }
   {
+    // Unindexed and erased in one critical section: a consensus pass
+    // sees the process either live and indexed or gone with its old
+    // neighbours seeded.
     std::scoped_lock society_lock(society_mutex_);
+    if (consensus_ != nullptr) consensus_->on_retire(p);
     society_.erase(pid);
   }
   switch (kind) {

@@ -15,8 +15,9 @@
 //    termination under total exclusion.
 //
 // Lock hierarchy (outer to inner): engine locks > society_mutex_ >
-// Process::state_mutex > queue_mutex_. Wake callbacks from WaitSet run
-// after the engine releases its locks.
+// Process::state_mutex > queue_mutex_ and ConsensusManager::mutex_ (both
+// leaves). Wake callbacks from WaitSet run after the engine releases its
+// locks.
 #pragma once
 
 #include <condition_variable>
@@ -157,10 +158,12 @@ class Scheduler {
   /// recorded in RunReport::killed. Returns false for an unknown pid.
   bool kill(ProcessId pid);
 
-  /// Executes `fn` with the society locked; `live` spans every process
-  /// not yet erased. Used by the consensus manager inside the engine's
-  /// exclusive section.
-  void with_live(const std::function<void(const std::vector<Process*>&)>& fn);
+  /// Every process not yet erased, by pid.
+  using Society = std::unordered_map<ProcessId, std::unique_ptr<Process>>;
+
+  /// Executes `fn` with the society locked. Used by the consensus
+  /// manager inside the engine's exclusive section.
+  void with_society(const std::function<void(const Society&)>& fn);
 
   /// Queue a process already marked Ready (consensus manager resume path).
   void enqueue_ready(ProcessId pid);
@@ -307,7 +310,7 @@ class Scheduler {
   std::unordered_map<std::string, std::unique_ptr<ProcessDef>> defs_;
 
   mutable std::mutex society_mutex_;  // guards society_ and next_pid_
-  std::unordered_map<ProcessId, std::unique_ptr<Process>> society_;
+  Society society_;
   ProcessId next_pid_ = 1;
 
   std::mutex queue_mutex_;  // guards ready_, inflight_, stop_, running_

@@ -72,6 +72,7 @@ void WaitSet::publish(const std::vector<IndexKey>& touched) {
 
 void WaitSet::publish_batch(std::vector<IndexKey> touched) {
   version_.fetch_add(1, std::memory_order_acq_rel);
+  if (listener_ != nullptr) listener_->on_commit(touched);
 
   // Fast path: no subscribers, nothing to wake. (A subscriber appearing
   // concurrently is safe: the subscribe-then-evaluate discipline means it

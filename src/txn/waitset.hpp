@@ -41,7 +41,21 @@ class WaitSet {
     bool everything = false;
   };
 
+  /// Told the touched keys of every published commit, before the
+  /// commit's wakes are delivered. Must be cheap and must not publish.
+  class CommitListener {
+   public:
+    virtual void on_commit(const std::vector<IndexKey>& touched) = 0;
+
+   protected:
+    ~CommitListener() = default;
+  };
+
   explicit WaitSet(WakePolicy policy = WakePolicy::Targeted) : policy_(policy) {}
+
+  /// Installs the commit listener (null removes it). The consensus
+  /// manager records its detection seeds here. Set while no commit runs.
+  void set_commit_listener(CommitListener* l) { listener_ = l; }
 
   /// Registers `wake` to be invoked (possibly concurrently, possibly
   /// spuriously) whenever a matching commit is published.
@@ -119,6 +133,7 @@ class WaitSet {
   std::atomic<std::uint64_t> version_{0};
   std::atomic<std::uint64_t> wakes_{0};
   FaultInjector* faults_ = nullptr;
+  CommitListener* listener_ = nullptr;
   /// Lock-free publish fast path: commits with nobody subscribed skip the
   /// mutex entirely (otherwise every commit in the system serializes on
   /// it — measured as the scaling ceiling in experiment E6).

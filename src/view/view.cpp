@@ -1,5 +1,6 @@
 #include "view/view.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/metrics.hpp"
@@ -129,28 +130,35 @@ void View::collect_import_ids(const Dataspace& space, Env& env,
 void View::collect_import_records(
     const Dataspace& space, Env& env, const FunctionRegistry* fns,
     std::vector<std::pair<TupleId, IndexKey>>& out) const {
-  std::unordered_set<TupleId> seen;
+  const std::size_t first = out.size();
   if (spec_->import_all) {
     space.scan_all([&](const Record& r) {
-      if (seen.insert(r.id).second) out.emplace_back(r.id, IndexKey::of(r.tuple));
+      out.emplace_back(r.id, IndexKey::of(r.tuple));
       return true;
     });
-    return;
-  }
-  for (const ViewEntry& entry : spec_->imports) {
-    const KeySpec spec = entry.pattern.key_spec(env, fns);
-    auto visit = [&](const Record& r) {
-      if (entry_admits(entry, r.tuple, env, fns) && seen.insert(r.id).second) {
-        out.emplace_back(r.id, IndexKey::of(r.tuple));
+  } else {
+    for (const ViewEntry& entry : spec_->imports) {
+      const KeySpec spec = entry.pattern.key_spec(env, fns);
+      auto visit = [&](const Record& r) {
+        if (entry_admits(entry, r.tuple, env, fns)) {
+          out.emplace_back(r.id, IndexKey::of(r.tuple));
+        }
+        return true;
+      };
+      if (spec.kind == KeySpec::Kind::Exact) {
+        space.scan_key(spec.key, visit);
+      } else {
+        space.scan_arity(spec.arity, visit);
       }
-      return true;
-    };
-    if (spec.kind == KeySpec::Kind::Exact) {
-      space.scan_key(spec.key, visit);
-    } else {
-      space.scan_arity(spec.arity, visit);
     }
   }
+  // Entries may overlap: sort by id and keep each tuple once.
+  const auto begin = out.begin() + static_cast<std::ptrdiff_t>(first);
+  std::sort(begin, out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  out.erase(std::unique(begin, out.end(),
+                        [](const auto& a, const auto& b) { return a.first == b.first; }),
+            out.end());
 }
 
 // WindowSource precomputes each import entry's key spec once per

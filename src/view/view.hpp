@@ -88,9 +88,10 @@ class View {
                           const FunctionRegistry* fns,
                           std::unordered_set<TupleId>& out) const;
 
-  /// As collect_import_ids, but also reports each tuple's bucket — the
-  /// consensus manager needs buckets to test overlap against the
-  /// conservative (bucket-level) import summaries of running processes.
+  /// As collect_import_ids, but appends (id, bucket) pairs, each tuple
+  /// once and sorted by id — the consensus manager needs buckets to look
+  /// up the processes whose bucket-level import summaries may cover them,
+  /// and the order to test membership by binary search.
   void collect_import_records(const Dataspace& space, Env& env,
                               const FunctionRegistry* fns,
                               std::vector<std::pair<TupleId, IndexKey>>& out) const;

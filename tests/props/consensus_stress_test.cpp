@@ -1,11 +1,13 @@
 // Consensus stress: random societies of communities doing random amounts
 // of pre-consensus work. Invariants: every community fires exactly once,
 // every process completes, no fire happens before a community's work is
-// done.
+// done, and the runtime's event-local detection agrees with the
+// whole-society reference sweep (tests/oracle) on every fire.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "oracle/consensus_reference.hpp"
 #include "sim/explore.hpp"
 
 namespace sdl {
@@ -41,7 +43,9 @@ TEST_P(ConsensusStressTest, RandomCommunitiesFireExactlyOnce) {
   RuntimeOptions o;
   o.engine = GetParam().engine;
   o.scheduler.workers = 4;
+  oracle::ConsensusOracle reference;  // outlives the runtime's runs
   Runtime rt(o);
+  reference.attach(rt);
 
   // Member(c): consume this community's work items, then consensus-exit
   // when none remain; the consensus asserts a per-member marker.
@@ -82,6 +86,9 @@ TEST_P(ConsensusStressTest, RandomCommunitiesFireExactlyOnce) {
   ASSERT_TRUE(report.clean()) << (report.parked.empty() ? "" : report.parked[0]);
   EXPECT_EQ(report.completed, static_cast<std::size_t>(total_members));
   EXPECT_EQ(rt.consensus().fires(), static_cast<std::uint64_t>(communities));
+  reference.check_quiescent();
+  EXPECT_EQ(reference.divergence(), "");
+  EXPECT_EQ(reference.fires_checked(), static_cast<std::size_t>(communities));
   for (int c = 0; c < communities; ++c) {
     // Every member fired, and only after the community's work was drained.
     for (int i = 0; i < per_community; ++i) {
@@ -175,9 +182,12 @@ TEST(ConsensusStressDeterministic, SweepFiresExactlyOncePerCommunity) {
     }
     return std::string();
   };
-  const sim::SweepResult r = sim::sweep_seeds(build, {.seeds = 64}, check);
+  oracle::SweepOracle reference;
+  const sim::SweepResult r = sim::sweep_seeds(
+      reference.build(build), {.seeds = 64}, reference.check(check));
   ASSERT_TRUE(r.ok()) << r.first_failure;
   EXPECT_GT(r.distinct_traces, 1u);
+  EXPECT_EQ(reference.fires_checked(), 64u * kCommunities);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // serializably under (by default) 64 different schedules each, and a
 // failing sweep must hand back the reproducing seed plus a minimized
 // schedule. SDL_SIM_SEEDS overrides the sweep width (CI's TSan job runs
-// a longer sweep).
+// a longer sweep). Every sweep that can exercise consensus also runs the
+// whole-society reference sweep (tests/oracle) beside the runtime's
+// event-local detection, at every fire and every quiet point.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -11,6 +13,7 @@
 #include <string>
 
 #include "lang/compile.hpp"
+#include "oracle/consensus_reference.hpp"
 #include "sim/explore.hpp"
 
 namespace sdl {
@@ -98,10 +101,42 @@ TEST(SimSweepTest, ConsensusSum1SweepStaysCorrectAndSerializable) {
   };
   sim::SweepOptions opts;
   opts.seeds = sweep_width();
-  const sim::SweepResult r =
-      sim::sweep_seeds(script_build("sum1.sdl"), opts, check);
+  oracle::SweepOracle reference;
+  const sim::SweepResult r = sim::sweep_seeds(
+      reference.build(script_build("sum1.sdl")), opts, reference.check(check));
   ASSERT_TRUE(r.ok()) << r.first_failure;
   EXPECT_GT(r.distinct_traces, 1u);
+  EXPECT_GE(reference.fires_checked(), 3 * opts.seeds);
+  EXPECT_GT(reference.quiet_checked(), 0u);
+}
+
+TEST(SimSweepTest, ConsensusSortSweepMatchesReferenceDetection) {
+  // §3.2's sort: four Sort processes chained by their views, one
+  // consensus exit for the whole chain once every pair is ordered.
+  const sim::CheckFn check = [](Runtime& rt, const RunReport& report) {
+    if (std::string bad = require_clean(report); !bad.empty()) return bad;
+    if (rt.consensus().fires() != 1) return std::string("expected one fire");
+    std::int64_t last = 0;
+    for (int node = 1; node <= 5; ++node) {
+      std::int64_t p = -1;
+      rt.space().scan_key(IndexKey::of_head(4, Value(node)), [&](const Record& r) {
+        p = r.tuple[1].as_int();
+        return false;
+      });
+      if (p < last) return "node " + std::to_string(node) + " out of order";
+      last = p;
+    }
+    return std::string();
+  };
+  sim::SweepOptions opts;
+  opts.seeds = sweep_width();
+  oracle::SweepOracle reference;
+  const sim::SweepResult r = sim::sweep_seeds(
+      reference.build(script_build("sort.sdl")), opts, reference.check(check));
+  ASSERT_TRUE(r.ok()) << r.first_failure;
+  EXPECT_GT(r.distinct_traces, 1u);
+  EXPECT_EQ(reference.fires_checked(), opts.seeds);
+  EXPECT_GT(reference.quiet_checked(), opts.seeds);
 }
 
 TEST(SimSweepTest, ContendedCounterSweepConservesTotal) {
